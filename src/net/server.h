@@ -13,8 +13,8 @@
 //    frame decoder, ADMIT records go straight into
 //    `ServerCore::post()` — the existing lock-free per-shard MPSC
 //    mailboxes, zero new locks on the hot path — and TICKET replies are
-//    stamped from `preview_admission()` (construction-time slot
-//    arithmetic, safe from any thread).
+//    stamped from `preview_admission()` (the policy's own slot
+//    arithmetic over construction-time state, safe from any thread).
 //
 // Tickets and drains: a TICKET is buffered per connection tagged with
 // the drain epoch observed before its post and flushed once a strictly

@@ -34,11 +34,13 @@ class DgObjectPolicy final : public ObjectPolicy {
       : dg_(std::move(dg)), delay_(delay) {}
 
   void on_arrival(double time, PolicySink& sink) override {
-    // The per-arrival "decision" is the O(1) slot lookup of
-    // DelayGuaranteedServer::admit; the multicast schedule itself is
-    // fixed and emitted in finish().
-    const Index slot = dg_slot_of(time, delay_);
-    sink.admit(time, static_cast<double>(slot + 1) * delay_);
+    // The per-arrival "decision" is the O(1) slot lookup; the multicast
+    // schedule itself is fixed and emitted in finish().
+    sink.admit(time, playback_start(time));
+  }
+
+  [[nodiscard]] double playback_start(double time) const override {
+    return static_cast<double>(dg_slot_of(time, delay_) + 1) * delay_;
   }
 
   void finish(double horizon, PolicySink& sink) override {
@@ -61,10 +63,6 @@ class DgObjectPolicy final : public ObjectPolicy {
     }
   }
 
-  [[nodiscard]] FastSlotKind fast_slot_kind() const noexcept override {
-    return FastSlotKind::kDgSlot;
-  }
-
  private:
   std::shared_ptr<const DelayGuaranteedOnline> dg_;
   double delay_;
@@ -77,7 +75,7 @@ class BatchingObjectPolicy final : public ObjectPolicy {
   explicit BatchingObjectPolicy(double delay) : delay_(delay) {}
 
   void on_arrival(double time, PolicySink& sink) override {
-    const double start = batch_start_of(time, delay_);
+    const double start = playback_start(time);
     if (start > last_start_) {
       sink.start_stream(start, 1.0);
       last_start_ = start;
@@ -95,16 +93,8 @@ class BatchingObjectPolicy final : public ObjectPolicy {
     last_start_ = reader.f64();
   }
 
-  [[nodiscard]] FastSlotKind fast_slot_kind() const noexcept override {
-    return FastSlotKind::kBatchSlot;
-  }
-
-  [[nodiscard]] double fast_slot_cursor() const noexcept override {
-    return last_start_;
-  }
-
-  void set_fast_slot_cursor(double cursor) noexcept override {
-    last_start_ = cursor;
+  [[nodiscard]] double playback_start(double time) const override {
+    return batch_start_of(time, delay_);
   }
 
  private:
@@ -173,13 +163,7 @@ void ObjectPolicy::save_state(util::SnapshotWriter& /*writer*/) const {}
 
 void ObjectPolicy::load_state(util::SnapshotReader& /*reader*/) {}
 
-FastSlotKind ObjectPolicy::fast_slot_kind() const noexcept {
-  return FastSlotKind::kNone;
-}
-
-double ObjectPolicy::fast_slot_cursor() const noexcept { return 0.0; }
-
-void ObjectPolicy::set_fast_slot_cursor(double /*cursor*/) noexcept {}
+double ObjectPolicy::playback_start(double /*time*/) const { return -1.0; }
 
 void OnlinePolicy::prepare(double delay, double horizon) {
   check_delay(delay);

@@ -23,7 +23,6 @@
 #ifndef SMERGE_ONLINE_POLICY_H
 #define SMERGE_ONLINE_POLICY_H
 
-#include <cstdint>
 #include <memory>
 #include <string>
 
@@ -50,24 +49,8 @@ namespace smerge {
 /// The batching interval end serving an arrival at `t`: intervals are
 /// ((k-1)D, kD] and an arrival exactly on a boundary is served by the
 /// stream starting there (matches merging::batch_arrivals). The single
-/// home of the mapping, shared by the batching policies and
-/// ServerCore's sealed admit fast path.
+/// home of the mapping, shared by the batching and greedy policies.
 [[nodiscard]] double batch_start_of(double t, double delay);
-
-/// How (whether) a policy's per-arrival decision can be sealed into
-/// ServerCore's devirtualized admit fast path. A policy advertising a
-/// slotted kind promises its on_arrival is *exactly* the corresponding
-/// closed-form mapping — same floating-point expressions, same emission
-/// order — so the core may compute admissions inline (dg_slot_of /
-/// batch_start_of) without the two virtual hops per arrival, and a
-/// checkpoint taken after either path is byte-identical.
-enum class FastSlotKind : std::uint8_t {
-  kNone = 0,   ///< generic: every arrival goes through on_arrival
-  kDgSlot,     ///< stateless: admit at (dg_slot_of(t, D) + 1) * D;
-               ///< the multicast schedule is fixed and emitted in finish
-  kBatchSlot,  ///< one cursor: admit at batch_start_of(t, D), emitting a
-               ///< full stream whenever the batch start advances
-};
 
 /// Where a policy records its decisions; implemented by the engine.
 class PolicySink {
@@ -117,16 +100,14 @@ class ObjectPolicy {
   /// by the same OnlinePolicy with the same (delay, horizon). Throws
   /// util::SnapshotError on malformed bytes. Default: reads nothing.
   virtual void load_state(util::SnapshotReader& reader);
-  /// Whether this policy's on_arrival can be sealed into the core's
-  /// inline slot computation (see FastSlotKind). Default: kNone.
-  [[nodiscard]] virtual FastSlotKind fast_slot_kind() const noexcept;
-  /// For kBatchSlot policies: the batching cursor (last emitted batch
-  /// start). The fast path reads it once per delivered batch, replays
-  /// the slot arithmetic locally, and writes it back with
-  /// `set_fast_slot_cursor` — one virtual round-trip per batch instead
-  /// of two per arrival, with `save_state` bytes unchanged. Default 0.
-  [[nodiscard]] virtual double fast_slot_cursor() const noexcept;
-  virtual void set_fast_slot_cursor(double cursor) noexcept;
+  /// The playback start on_arrival will give a client arriving at
+  /// `time`, or a negative value when that is only decided as arrivals
+  /// are delivered (the default). Slotted policies answer with the same
+  /// slot arithmetic their on_arrival uses, so a preview and an
+  /// admission always agree. Must depend only on construction-time
+  /// state: ServerCore previews every object of a catalogue from one
+  /// instance that never sees an arrival, from any thread.
+  [[nodiscard]] virtual double playback_start(double time) const;
 };
 
 /// A policy family: a name plus a factory for per-object state.

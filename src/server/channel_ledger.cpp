@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <tuple>
+#include <utility>
 
-#include "util/simd.h"
 #include "util/snapshot.h"
 
 namespace smerge::server {
@@ -23,9 +24,17 @@ bool event_less(const LedgerEvent& a, const LedgerEvent& b) noexcept {
   return a.object < b.object;
 }
 
-// Branch-free max of the scan loops, now shared with the vector kernels
-// it is the oracle for.
-using util::simd::bmax;
+/// Running depth and best depth over events[lo, hi), continued from
+/// (depth, best) — the one scan loop behind every partial-bucket query.
+std::pair<std::int64_t, std::int64_t> prefix_scan(
+    const std::vector<LedgerEvent>& events, std::size_t lo, std::size_t hi,
+    std::int64_t depth, std::int64_t best) noexcept {
+  for (std::size_t i = lo; i < hi; ++i) {
+    depth += events[i].delta;
+    best = std::max(best, depth);
+  }
+  return {depth, best};
+}
 
 /// First index in a *sorted* bucket whose event time exceeds `t`.
 std::size_t first_after(const std::vector<LedgerEvent>& events,
@@ -96,7 +105,6 @@ void ChannelLedger::push_event(const LedgerEvent& e) {
   const bool in_order =
       bucket.events.empty() || !event_less(e, bucket.events.back());
   bucket.events.push_back(e);
-  bucket.deltas.push_back(e.delta);
   bucket.net += e.delta;
   if (was_clean && in_order) {
     // Common case (streams arrive roughly in time order): the bucket
@@ -132,11 +140,10 @@ void ChannelLedger::apply_batch(std::span<const LedgerEvent> batch) {
     const bool in_order =
         bucket.events.empty() || !event_less(e, bucket.events.back());
     bucket.events.push_back(e);
-    bucket.deltas.push_back(e.delta);
     bucket.net += e.delta;
     if (was_clean && in_order) {
       bucket.sorted = bucket.events.size();
-      bucket.max_prefix = bmax(bucket.max_prefix, bucket.net);
+      bucket.max_prefix = std::max(bucket.max_prefix, bucket.net);
     } else if (was_clean) {
       dirty_.push_back(static_cast<std::uint32_t>(b));
     }
@@ -178,13 +185,7 @@ void ChannelLedger::ensure_sorted(std::size_t b) {
   std::sort(mid, bucket.events.end(), event_less);
   std::inplace_merge(bucket.events.begin(), mid, bucket.events.end(), event_less);
   bucket.sorted = bucket.events.size();
-  for (std::size_t i = 0; i < bucket.events.size(); ++i) {
-    bucket.deltas[i] = bucket.events[i].delta;
-  }
-  bucket.max_prefix =
-      util::simd::prefix_scan(bucket.deltas.data(), bucket.deltas.size(),
-                              /*running=*/0, /*best=*/0)
-          .best;
+  bucket.max_prefix = prefix_scan(bucket.events, 0, bucket.sorted, 0, 0).second;
   tree_update(b);
 }
 
@@ -232,11 +233,10 @@ Index ChannelLedger::occupancy_at(double t) {
   ensure_sorted(b);
   const Bucket& bucket = buckets_[b];
   // The bucket is sorted, so "everything at or before t" is a prefix:
-  // locate it by time and let the vector kernel sum the deltas.
+  // locate it by time and sum its deltas.
   const std::size_t k = first_after(bucket.events, t);
-  const std::int64_t depth =
-      net_before(b) + util::simd::sum(bucket.deltas.data(), k);
-  return static_cast<Index>(depth);
+  return static_cast<Index>(
+      prefix_scan(bucket.events, 0, k, net_before(b), 0).first);
 }
 
 Index ChannelLedger::max_over(double a, double b) {
@@ -249,22 +249,17 @@ Index ChannelLedger::max_over(double a, double b) {
   const std::size_t ba = bucket_of(a);
   const std::size_t bb = bucket_of(b);
   std::int64_t depth = net_before(ba);
-  std::int64_t best;
+  std::int64_t best = 0;
   {
     const Bucket& bucket = buckets_[ba];
     // Everything at or before `a` contributes to the occupancy at the
     // window's left edge — the first candidate. flush() left every
-    // bucket sorted, so both boundaries are binary searches and the
-    // scans between them run through the vector kernels.
+    // bucket sorted, so both boundaries are binary searches.
     const std::size_t i = first_after(bucket.events, a);
-    depth += util::simd::sum(bucket.deltas.data(), i);
-    best = depth;
+    depth = prefix_scan(bucket.events, 0, i, depth, 0).first;
     const std::size_t stop = ba == bb ? first_at_or_after(bucket.events, b)
                                       : bucket.events.size();
-    const auto scan = util::simd::prefix_scan(bucket.deltas.data() + i,
-                                              stop - i, depth, best);
-    depth = scan.running;
-    best = scan.best;
+    std::tie(depth, best) = prefix_scan(bucket.events, i, stop, depth, depth);
   }
   if (bb > ba) {
     const auto [mid_net, mid_max] = combine_range(ba + 1, bb);
@@ -272,7 +267,7 @@ Index ChannelLedger::max_over(double a, double b) {
     depth += mid_net;
     const Bucket& last = buckets_[bb];
     const std::size_t k = first_at_or_after(last.events, b);
-    best = util::simd::prefix_scan(last.deltas.data(), k, depth, best).best;
+    best = prefix_scan(last.events, 0, k, depth, best).second;
   }
   return static_cast<Index>(best);
 }
@@ -330,20 +325,14 @@ void ChannelLedger::restore(util::SnapshotReader& reader) {
       throw util::SnapshotError("ChannelLedger: sorted prefix exceeds bucket");
     }
     bucket.sorted = static_cast<std::size_t>(sorted);
-    bucket.deltas.resize(bucket.events.size());
-    for (std::size_t i = 0; i < bucket.events.size(); ++i) {
-      bucket.deltas[i] = bucket.events[i].delta;
-    }
     // The stored max_prefix is not serialized: recompute it over the
     // *sorted prefix interleaved with the tail in insertion order*, the
     // same value push_event maintained. For a clean bucket that is just
     // the running max; a dirty bucket's summary is stale anyway (its
     // tree path replays on the next ensure_sorted), so the running max
     // over insertion order reproduces the saved ledger's answers.
-    bucket.max_prefix = util::simd::prefix_scan(bucket.deltas.data(),
-                                                bucket.sorted, /*running=*/0,
-                                                /*best=*/0)
-                            .best;
+    bucket.max_prefix =
+        prefix_scan(bucket.events, 0, bucket.sorted, 0, 0).second;
     counted += static_cast<std::int64_t>(n);
   }
   if (counted != events) {

@@ -123,11 +123,6 @@ class ChannelLedger {
  private:
   struct Bucket {
     std::vector<LedgerEvent> events;
-    /// Derived shadow of `events[i].delta` in the same order, kept
-    /// contiguous so the summary recompute and the windowed-max scans
-    /// run through the SIMD kernels (util/simd.h) without a gather.
-    /// Never serialized: rebuilt on restore and on every re-sort.
-    std::vector<std::int32_t> deltas;
     std::size_t sorted = 0;        ///< prefix of `events` already in order
     std::int64_t net = 0;          ///< sum of deltas (always current)
     std::int64_t max_prefix = 0;   ///< max running sum over prefixes (>= 0)

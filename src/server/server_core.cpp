@@ -9,12 +9,9 @@
 #include <utility>
 
 #include "core/plan_io.h"
-#include "util/arena.h"
 #include "util/mpsc_ring.h"
 #include "util/parallel.h"
-#include "util/simd.h"
 #include "util/snapshot.h"
-#include "util/thread_pool.h"
 
 namespace smerge::server {
 
@@ -54,6 +51,20 @@ struct PostedArrival {
 bool posted_less(const PostedArrival& a, const PostedArrival& b) noexcept {
   if (a.time != b.time) return a.time < b.time;
   return a.seq < b.seq;
+}
+
+/// The ticket of a generic-policy admission — the one assembly shared by
+/// admit() and preview_admission(), so the two cannot disagree.
+Ticket policy_ticket(Index object, double time, double playback) {
+  Ticket ticket;
+  ticket.admitted = true;
+  ticket.object = object;
+  ticket.arrival = time;
+  ticket.decision_time = time;
+  ticket.playback_start = playback;
+  ticket.wait = std::max(0.0, playback - time);
+  ticket.guarantee_wait = ticket.wait;
+  return ticket;
 }
 
 }  // namespace
@@ -164,10 +175,6 @@ struct ServerCore::ObjectState final : PolicySink {
   const plan::ChunkingConfig chunking;
 
   std::unique_ptr<ObjectPolicy> policy;  ///< generic path only
-  /// Sealed admit dispatch (set at build from the policy's
-  /// advertisement when config.fast_path; kNone = virtual on_arrival).
-  /// Derived state: never serialized, identical decisions either way.
-  FastSlotKind fast_kind = FastSlotKind::kNone;
 
   // Recorder (the legacy ShardSink fields).
   ObjectOutcome outcome;
@@ -243,7 +250,10 @@ struct ServerCore::Impl {
   std::vector<std::vector<Index>> shard_dirty;  ///< per-shard mailbox index
   std::vector<std::unique_ptr<ShardMailbox>> mailboxes;  ///< post() path only
   std::atomic<bool> posted_out_of_order{false};  ///< set by drain workers
-  std::vector<LedgerEvent> ledger_batch;  ///< flush_object scratch (serial)
+  // Driver-thread scratch, reused (with its capacity) across drains.
+  std::vector<LedgerEvent> ledger_batch;  ///< flush_object's ±1 run
+  std::vector<unsigned> active_shards;    ///< drain's fan-out list
+  std::vector<Index> fold_order;          ///< epilogue object order
   ChannelLedger ledger;
 
   // Running counters (updated in deterministic fold order).
@@ -268,11 +278,10 @@ struct ServerCore::Impl {
   std::shared_ptr<const DelayGuaranteedOnline> dg;
   std::unique_ptr<ProgramTable> table;
 
-  OnlinePolicy* policy = nullptr;  ///< generic path only
-  /// Slot arithmetic for preview_admission: the policy's advertised
-  /// FastSlotKind (or the slotted serve mode's), fixed at construction
-  /// and independent of the fast_path execution knob.
-  FastSlotKind preview_kind = FastSlotKind::kNone;
+  /// A policy instance of the catalogue's family that is never fed
+  /// arrivals (generic path only): preview_admission asks it for the
+  /// slot arithmetic, so reactor threads never read state a drain writes.
+  std::unique_ptr<ObjectPolicy> preview_policy;
   bool finished = false;
   Snapshot snapshot;  ///< assembled by finish()
 };
@@ -356,7 +365,6 @@ void ServerCore::build_objects(OnlinePolicy* policy) {
       std::max(32.0, config_.horizon + 1.0) +
       config_.delay * static_cast<double>(config_.max_defer_slots + 2);
   impl_ = std::make_unique<Impl>(span, bucket);
-  impl_->policy = policy;
 
   if (config_.serve == ServeMode::kSlottedDg) {
     Index slots = config_.dg_media_slots;
@@ -377,18 +385,12 @@ void ServerCore::build_objects(OnlinePolicy* policy) {
         config_.collect_plans || config_.enable_sessions, config_.chunking);
     if (policy != nullptr) {
       state->policy = policy->make_object_policy(config_.delay, config_.horizon);
-      if (config_.fast_path) {
-        state->fast_kind = state->policy->fast_slot_kind();
-      }
     }
     impl_->objects.push_back(std::move(state));
   }
   if (policy != nullptr) {
-    impl_->preview_kind = impl_->objects.front()->policy->fast_slot_kind();
-  } else {
-    impl_->preview_kind = config_.serve == ServeMode::kSlottedDg
-                              ? FastSlotKind::kDgSlot
-                              : FastSlotKind::kBatchSlot;
+    impl_->preview_policy =
+        policy->make_object_policy(config_.delay, config_.horizon);
   }
   impl_->shard_dirty.resize(config_.shards);
 
@@ -450,58 +452,9 @@ void ServerCore::epilogue(std::span<const Index> objects) {
   for (const Index m : objects) flush_object(m);
 }
 
-/// Delivers a batch of arrivals to one object, dispatching once per
-/// batch instead of twice per arrival: slotted policies that advertised
-/// a FastSlotKind get their on_arrival arithmetic replayed inline
-/// (ObjectState is final, so the sink calls devirtualize too), all
-/// others take the generic virtual hop. The inline bodies are
-/// *transcriptions* of DgObjectPolicy::on_arrival and
-/// BatchingObjectPolicy::on_arrival — same floating-point expressions,
-/// same emission order, same recorder calls — which is what makes
-/// snapshots and checkpoint bytes identical on either path (asserted by
-/// tests/test_hotpath_variants.cpp).
-void ServerCore::deliver_arrivals(ObjectState& state, const double* times,
-                                  std::size_t count) {
-  switch (state.fast_kind) {
-    case FastSlotKind::kDgSlot:
-      // Stateless: admit at the end of the arrival's slot; the schedule
-      // itself is fixed and emitted at finish().
-      for (std::size_t i = 0; i < count; ++i) {
-        const double t = times[i];
-        const Index slot = dg_slot_of(t, config_.delay);
-        state.record_admission(
-            t, static_cast<double>(slot + 1) * config_.delay, t);
-      }
-      return;
-    case FastSlotKind::kBatchSlot: {
-      // One cursor: mirror it locally, replay the batch, sync it back
-      // with a single virtual round-trip so the policy's save_state
-      // bytes are exactly what the virtual path would have written.
-      double last_start = state.policy->fast_slot_cursor();
-      for (std::size_t i = 0; i < count; ++i) {
-        const double t = times[i];
-        const double start = batch_start_of(t, config_.delay);
-        if (start > last_start) {
-          state.start_stream(start, 1.0, -1);
-          last_start = start;
-        }
-        state.record_admission(t, start, t);
-      }
-      state.policy->set_fast_slot_cursor(last_start);
-      return;
-    }
-    case FastSlotKind::kNone:
-      break;
-  }
-  for (std::size_t i = 0; i < count; ++i) {
-    state.policy->on_arrival(times[i], state);
-  }
-}
-
 void ServerCore::process_object(ObjectState& state) {
-  const std::size_t delivered = state.pending.size();
-  deliver_arrivals(state, state.pending.data(), delivered);
-  state.outcome.arrivals += static_cast<Index>(delivered);
+  for (const double t : state.pending) state.policy->on_arrival(t, state);
+  state.outcome.arrivals += static_cast<Index>(state.pending.size());
   // Large one-shot traces (ingest_trace) release their memory here;
   // small mailboxes keep their capacity for the next drain.
   if (state.pending.capacity() > 4096) {
@@ -756,28 +709,15 @@ void ServerCore::collect_posted(unsigned s) {
     if (state.posted_batch.empty()) mb.touched.push_back(a.object);
     state.posted_batch.push_back(a);
   }
-  // Time-key scratch for the re-sort check, on this worker's arena (the
-  // shard's drain worker is stable under pin_workers, so the buffer
-  // stays in its cache and is released by one pointer rewind).
-  util::MonotonicArena& arena = util::thread_arena();
-  const util::ArenaScope scope(arena);
-  util::ArenaVector<double> keys{util::ArenaAllocator<double>(arena)};
-  keys.reserve(mb.scratch.size());
   // Object-id order keeps the dirty-list append order (and therefore a
   // restored core's rebuilt lists) independent of ring interleaving.
   std::sort(mb.touched.begin(), mb.touched.end());
   for (const Index m : mb.touched) {
     ObjectState& state = *impl_->objects[index_of(m)];
     std::vector<PostedArrival>& batch = state.posted_batch;
-    // Strictly increasing times mean the batch is already in (time,
-    // seq) order with no tie that needs the ticket — the common
-    // single-producer case, checked by the lane-parallel kernel. Only
-    // on ties/reordering does the scalar comparator (and maybe the
-    // sort) run.
-    keys.resize(batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) keys[i] = batch[i].time;
-    if (!util::simd::strictly_increasing(keys.data(), keys.size()) &&
-        !std::is_sorted(batch.begin(), batch.end(), posted_less)) {
+    // A single producer per object usually leaves the batch in (time,
+    // seq) order already; sort only when the ring interleaving did not.
+    if (!std::is_sorted(batch.begin(), batch.end(), posted_less)) {
       std::sort(batch.begin(), batch.end(), posted_less);
     }
     if (batch.front().time < state.last_time) {
@@ -837,17 +777,12 @@ void ServerCore::ingest_session_trace(Index object,
 
 void ServerCore::drain() {
   if (impl_->finished) return;
-  // Fan-out scratch (active list, merged dirty list) lives on the
-  // caller's arena for the duration of this drain: no heap traffic on
-  // the steady-state path, released by one pointer rewind.
-  util::MonotonicArena& arena = util::thread_arena();
-  const util::ArenaScope scope(arena);
   // Active-shard gather: a shard reaches the pool only when it has
   // dirty objects or published posts, so idle-catalogue drains cost one
   // scan instead of a full pool fan-out.
   const bool posted = !impl_->mailboxes.empty();
-  util::ArenaVector<unsigned> active{util::ArenaAllocator<unsigned>(arena)};
-  active.reserve(config_.shards);
+  std::vector<unsigned>& active = impl_->active_shards;
+  active.clear();
   for (unsigned s = 0; s < config_.shards; ++s) {
     if (!impl_->shard_dirty[s].empty() ||
         (posted && (impl_->mailboxes[s]->box.has_items() ||
@@ -862,30 +797,10 @@ void ServerCore::drain() {
       process_object(*impl_->objects[index_of(m)]);
     }
   };
-  if (config_.pin_workers) {
-    // Static residue-class schedule on the pinned pool: shard s always
-    // lands on participant s % P, so a shard's mailbox ring, dirty
-    // list, and drain scratch stay hot in one core's cache across
-    // drains. Idle shards are skipped via the mask — the mapping must
-    // not depend on which shards happen to be active this round.
-    util::ArenaVector<std::uint8_t> is_active{
-        util::ArenaAllocator<std::uint8_t>(arena)};
-    is_active.assign(config_.shards, 0);
-    for (const unsigned s : active) is_active[s] = 1;
-    util::ThreadPool::shared_pinned().run_static(
-        config_.shards, config_.shards, [&](std::int64_t s) {
-          if (is_active[static_cast<std::size_t>(s)]) {
-            drain_shard(static_cast<unsigned>(s));
-          }
-        });
-  } else {
-    util::parallel_for(
-        0, static_cast<std::int64_t>(active.size()),
-        [&](std::int64_t i) {
-          drain_shard(active[static_cast<std::size_t>(i)]);
-        },
-        config_.shards);
-  }
+  util::parallel_for(
+      0, static_cast<std::int64_t>(active.size()),
+      [&](std::int64_t i) { drain_shard(active[static_cast<std::size_t>(i)]); },
+      config_.shards);
   if (posted) {
     if (impl_->posted_out_of_order.load(std::memory_order_relaxed)) {
       impl_->posted_out_of_order.store(false, std::memory_order_relaxed);
@@ -902,16 +817,14 @@ void ServerCore::drain() {
       mb.max_time = 0.0;
     }
   }
-  util::ArenaVector<Index> dirty{util::ArenaAllocator<Index>(arena)};
-  std::size_t dirty_total = 0;
-  for (const auto& list : impl_->shard_dirty) dirty_total += list.size();
-  dirty.reserve(dirty_total);
+  std::vector<Index>& dirty = impl_->fold_order;
+  dirty.clear();
   for (auto& list : impl_->shard_dirty) {
     dirty.insert(dirty.end(), list.begin(), list.end());
     list.clear();
   }
   std::sort(dirty.begin(), dirty.end());
-  epilogue({dirty.data(), dirty.size()});
+  epilogue(dirty);
 }
 
 // --- The serial live path ---------------------------------------------------
@@ -946,18 +859,9 @@ Ticket ServerCore::admit_policy(Index object, double time) {
   // Preserve per-object time order if the driver mixed in mailbox
   // arrivals for this object.
   if (!state.pending.empty()) process_object(state);
-  deliver_arrivals(state, &time, 1);
+  state.policy->on_arrival(time, state);
   flush_object(object);
-
-  Ticket ticket;
-  ticket.admitted = true;
-  ticket.object = object;
-  ticket.arrival = time;
-  ticket.decision_time = time;
-  ticket.playback_start = state.last_playback;
-  ticket.wait = std::max(0.0, state.last_playback - time);
-  ticket.guarantee_wait = ticket.wait;
-  return ticket;
+  return policy_ticket(object, time, state.last_playback);
 }
 
 bool ServerCore::slot_stream_fits(double start, double duration) {
@@ -1101,19 +1005,13 @@ void ServerCore::finish() {
     }
   }
 
-  // The finish fan-outs go to the pinned pool when the drains did, so
-  // an object's final flush runs on the core that owns its shard's
-  // cache lines.
-  util::ThreadPool& pool = config_.pin_workers
-                               ? util::ThreadPool::shared_pinned()
-                               : util::ThreadPool::shared();
   const auto n = static_cast<std::int64_t>(config_.objects);
   if (config_.serve == ServeMode::kPolicy) {
     // Horizon flush: fixed schedules (DG) and late-resolving
     // truncations (the greedy merger) emit here. Objects are
     // independent, so the flush fans out over the pool.
-    util::parallel_for_on(
-        pool, 0, n,
+    util::parallel_for(
+        0, n,
         [&](std::int64_t m) {
           ObjectState& state = *impl_->objects[static_cast<std::size_t>(m)];
           state.policy->finish(config_.horizon, state);
@@ -1127,18 +1025,16 @@ void ServerCore::finish() {
     for (auto& state : impl_->objects) dg_emit_through(*state, slots - 1);
   }
 
-  util::MonotonicArena& arena = util::thread_arena();
-  const util::ArenaScope scope(arena);
-  util::ArenaVector<Index> all{util::ArenaAllocator<Index>(arena)};
+  std::vector<Index>& all = impl_->fold_order;
   all.resize(index_of(config_.objects));
   for (Index m = 0; m < config_.objects; ++m) all[index_of(m)] = m;
-  epilogue({all.data(), all.size()});
+  epilogue(all);
 
   // Per-object finalization: the object's own channel peak (sorts its
   // events — safe now, the ledger has its own copy), the canonical
   // plan, and the interval ordering. Parallel: objects are independent.
-  util::parallel_for_on(
-      pool, 0, n,
+  util::parallel_for(
+      0, n,
       [&](std::int64_t m) {
         ObjectState& state = *impl_->objects[static_cast<std::size_t>(m)];
         if (state.collect_plan) state.plan = state.build_plan();
@@ -1685,23 +1581,11 @@ RestoreInfo ServerCore::restore_state(std::span<const std::uint8_t> frame) {
   return info;
 }
 
-const char* ServerCore::admit_dispatch() const noexcept {
-  if (config_.serve != ServeMode::kPolicy) return "native-slotted";
-  if (impl_->objects.empty()) return "generic";
-  // All objects share one policy family, so the first object's sealed
-  // kind is the catalogue's.
-  switch (impl_->objects.front()->fast_kind) {
-    case FastSlotKind::kDgSlot:
-      return "sealed:dg-slot";
-    case FastSlotKind::kBatchSlot:
-      return "sealed:batch-slot";
-    case FastSlotKind::kNone:
-      break;
-  }
-  return "generic";
-}
-
 Ticket ServerCore::preview_admission(Index object, double time) const {
+  if (config_.serve != ServeMode::kPolicy) {
+    throw std::invalid_argument(
+        "ServerCore::preview_admission: generic-policy serving only");
+  }
   if (object < 0 || object >= config_.objects) {
     throw std::out_of_range("ServerCore::preview_admission: bad object id");
   }
@@ -1709,36 +1593,14 @@ Ticket ServerCore::preview_admission(Index object, double time) const {
     throw std::invalid_argument(
         "ServerCore::preview_admission: time must be nonnegative");
   }
-  Ticket t;
-  t.admitted = true;
-  t.object = object;
-  t.arrival = time;
-  t.decision_time = time;
-  switch (impl_->preview_kind) {
-    case FastSlotKind::kDgSlot: {
-      const Index slot = dg_slot_of(time, config_.delay);
-      t.slot = slot;
-      t.playback_start = static_cast<double>(slot + 1) * config_.delay;
-      t.wait = t.playback_start - time;
-      t.guarantee_wait = t.wait;
-      return t;
-    }
-    case FastSlotKind::kBatchSlot: {
-      const double start = batch_start_of(time, config_.delay);
-      t.playback_start = start;
-      t.wait = start - time;
-      t.guarantee_wait = t.wait;
-      return t;
-    }
-    case FastSlotKind::kNone:
-      break;
+  const double playback = impl_->preview_policy->playback_start(time);
+  Ticket ticket = policy_ticket(object, time, playback);
+  if (playback < 0.0) {
+    // Decided at drain: the preview certifies only the admission itself.
+    ticket.wait = -1.0;
+    ticket.guarantee_wait = -1.0;
   }
-  // Generic policies decide at drain; the preview can only certify the
-  // admission itself. Negative fields mean "not known at preview time".
-  t.playback_start = -1.0;
-  t.wait = -1.0;
-  t.guarantee_wait = -1.0;
-  return t;
+  return ticket;
 }
 
 void ServerCore::degrade_admissions() noexcept {

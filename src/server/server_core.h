@@ -96,17 +96,6 @@ struct ServerCoreConfig {
   bool collect_stream_intervals = false;  ///< keep all intervals (O(streams))
   bool collect_plans = false;   ///< assemble per-object MergePlans (O(streams))
 
-  // Hot-path execution knobs. Pure mechanism — results, snapshots and
-  // checkpoint bytes never depend on them, so (like the shard width and
-  // mailbox capacity) they are not serialized into checkpoints.
-  bool fast_path = true;   ///< seal slotted policies' on_arrival into the
-                           ///< core's inline slot computation (see
-                           ///< FastSlotKind); off = always the virtual hop
-  bool pin_workers = false;  ///< route drain/finish fan-outs through the
-                             ///< core-pinned pool with a stable
-                             ///< shard→worker map (Linux affinity;
-                             ///< elsewhere the pool just floats)
-
   // Session lifecycle (generic policy serving only). When enabled the
   // core takes `ingest_session_trace` instead of plain arrivals, tracks
   // live sessions, and repairs each object's plan in place at finish():
@@ -331,24 +320,19 @@ class ServerCore {
   /// The configuration the core was built with.
   [[nodiscard]] const ServerCoreConfig& config() const noexcept { return config_; }
 
-  /// A thread-safe admission preview: the Ticket a client arriving at
-  /// `time` will receive, computed from construction-time slot
-  /// arithmetic alone (dg_slot_of / batch_start_of — the same
-  /// closed-form mappings the sealed fast path replays), without
-  /// touching any mutable core state. For policies with no sealed form
+  /// A thread-safe admission preview on a generic-policy core: the
+  /// Ticket `admit(object, time)` would return, with the playback start
+  /// taken from `ObjectPolicy::playback_start` — the same slot
+  /// arithmetic on_arrival uses — on a policy instance that is never fed
+  /// arrivals, so no mutable core state is touched. For policies that decide at delivery (greedy merging)
   /// the playback/wait fields come back negative ("decided at the next
   /// drain") and only the admission itself is certified. This is what
   /// the network front end stamps TICKET replies from: any reactor
-  /// thread may call it concurrently with post() and drain(). Throws on
-  /// a bad object id or negative time.
+  /// thread may call it concurrently with post() and drain(). Throws
+  /// std::invalid_argument on a slotted core (whose admissions depend on
+  /// the live ledger) or a negative time, std::out_of_range on a bad
+  /// object id.
   [[nodiscard]] Ticket preview_admission(Index object, double time) const;
-
-  /// How per-arrival admissions are dispatched on this core: a sealed
-  /// fast path ("sealed:dg-slot" / "sealed:batch-slot"), the generic
-  /// virtual path ("generic"), or the natively slotted serving modes
-  /// ("native-slotted"). Reflects the built state, not just the config
-  /// knob — a banner-friendly answer.
-  [[nodiscard]] const char* admit_dispatch() const noexcept;
 
   // --- Slotted-DG access (the DelayGuaranteedServer adapter) --------------
 
@@ -406,8 +390,6 @@ class ServerCore {
   void collect_posted(unsigned shard);
   Ticket admit_slotted(Index object, double time);
   Ticket admit_policy(Index object, double time);
-  void deliver_arrivals(ObjectState& state, const double* times,
-                        std::size_t count);
   void process_object(ObjectState& state);
   void resolve_sessions(ObjectState& state);
   void repair_object_plan(ObjectState& state);

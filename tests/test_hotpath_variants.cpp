@@ -1,30 +1,27 @@
-// The hot-path variants' one contract: pinning, SIMD ledger walks and
-// the sealed admit fast path are pure mechanism — for every {pinned x
-// simd x fast-path} combination, at every shard width, a posted run's
-// checkpoint bytes and finished snapshot are identical to the serial
-// generic/scalar/unpinned ingest_trace baseline. Exercised over the
-// PR-2 540-instance corpus (180 traces x 3 policy families,
-// round-robining widths and combos) plus a full 24-point cross-product
-// on fixed instances.
+// The ingest paths' one contract: a run fed through the lock-free
+// post() rings is the same run as one fed through serial ingest_trace —
+// at every shard width, the checkpoint bytes and the finished snapshot
+// are identical. Exercised over the 540-instance fuzz corpus (180
+// traces x 3 policy families) at widths 1, 2 and 4.
 #include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "online/policy.h"
 #include "server/server_core.h"
-#include "util/simd.h"
 
 namespace {
 
 using namespace smerge;
 
-// The PR-2 fuzz corpus generator (test_plan.cpp / test_recovery.cpp):
-// 180 trials of sorted unique arrival times on [0, 8).
+// The fuzz corpus generator shared with test_plan.cpp and
+// test_recovery.cpp: 180 trials of sorted unique arrival times on [0, 8).
 std::vector<std::vector<double>> corpus_traces() {
   std::mt19937_64 rng(20260728);
   std::uniform_int_distribution<std::size_t> size_dist(0, 24);
@@ -42,33 +39,12 @@ std::vector<std::vector<double>> corpus_traces() {
   return traces;
 }
 
-struct Variant {
-  bool pin = false;
-  bool simd = false;
-  bool fast = false;
-};
-
-constexpr Variant kVariants[] = {
-    {false, false, false}, {false, false, true}, {false, true, false},
-    {false, true, true},   {true, false, false}, {true, false, true},
-    {true, true, false},   {true, true, true},
-};
-
 constexpr unsigned kWidths[] = {1, 2, 4};
-
-// RAII guard: the scalar toggle is process-global, so every run resets
-// it even when an assertion throws.
-struct ScalarGuard {
-  explicit ScalarGuard(bool scalar) { util::simd::force_scalar(scalar); }
-  ~ScalarGuard() { util::simd::force_scalar(false); }
-};
 
 std::unique_ptr<OnlinePolicy> make_policy(int family) {
   switch (family) {
     case 0: return std::make_unique<DelayGuaranteedPolicy>();
     case 1: return std::make_unique<BatchingPolicy>();
-    // kNone: the sealed path must fall back to the virtual hop and
-    // still match — the control arm of the cross-product.
     default:
       return std::make_unique<GreedyMergePolicy>(merging::DyadicParams{},
                                                  /*batched=*/true);
@@ -99,9 +75,7 @@ void expect_same_snapshot(const server::Snapshot& a, const server::Snapshot& b,
   EXPECT_EQ(a.per_object, b.per_object) << context;
 }
 
-// The baseline everything must match: serial ingest_trace, generic
-// virtual dispatch, scalar kernels, floating workers.
-struct Reference {
+struct Result {
   std::vector<std::uint8_t> checkpoint;
   server::Snapshot snapshot;
 };
@@ -110,16 +84,13 @@ struct Reference {
 // index) with a drain after each: mid-run checkpoint bytes include the
 // P2 percentile marker state, which folds waits in drain order — the
 // cadence is part of the logical state (the WAL records every drain),
-// so reference and variant must share it while everything else (serial
-// vs posted, generic vs sealed, scalar vs SIMD, floating vs pinned)
-// differs.
-Reference reference_run(const std::vector<double>& times, int family,
-                        unsigned shards) {
-  const ScalarGuard guard(true);
+// so the two runs share it and differ only in the ingest path. The
+// checkpoint is taken at the all-delivered quiescent point (the config
+// echo records the shard width, so both runs share that too).
+Result serial_run(const std::vector<double>& times, int family,
+                  unsigned shards) {
   auto policy = make_policy(family);
-  auto config = base_config(shards);
-  config.fast_path = false;
-  server::ServerCore core(config, *policy);
+  server::ServerCore core(base_config(shards), *policy);
   const std::size_t half = times.size() / 2;
   for (const auto& [begin, end] :
        {std::pair<std::size_t, std::size_t>{0, half}, {half, times.size()}}) {
@@ -132,98 +103,45 @@ Reference reference_run(const std::vector<double>& times, int family,
     }
     core.drain();
   }
-  Reference ref;
-  ref.checkpoint = core.checkpoint();
+  Result result{core.checkpoint(), {}};
   core.finish();
-  ref.snapshot = core.take_snapshot();
-  return ref;
+  result.snapshot = core.take_snapshot();
+  return result;
 }
 
-// One posted run under a variant, byte-compared against the reference:
-// checkpoint at the all-delivered quiescent point (the config echo pins
-// the shard width, so the reference must share it), snapshot at finish.
-void run_variant(const std::vector<double>& times, int family, unsigned shards,
-                 const Variant& v, const Reference& ref,
-                 const std::string& context) {
-  const ScalarGuard guard(!v.simd);
+Result posted_run(const std::vector<double>& times, int family,
+                  unsigned shards) {
   auto policy = make_policy(family);
-  auto config = base_config(shards);
-  config.fast_path = v.fast;
-  config.pin_workers = v.pin;
-  server::ServerCore core(config, *policy);
-  if (v.fast && family < 2) {
-    EXPECT_STREQ(core.admit_dispatch(),
-                 family == 0 ? "sealed:dg-slot" : "sealed:batch-slot")
-        << context;
-  } else {
-    EXPECT_STREQ(core.admit_dispatch(), "generic") << context;
-  }
-  std::size_t posted = 0;
+  server::ServerCore core(base_config(shards), *policy);
   for (std::size_t i = 0; i < times.size(); ++i) {
     core.post(static_cast<Index>(i % 3), times[i]);
-    if (++posted == times.size() / 2) core.drain();
+    if (i + 1 == times.size() / 2) core.drain();
   }
   core.drain();
-  EXPECT_EQ(core.checkpoint(), ref.checkpoint) << context;
+  Result result{core.checkpoint(), {}};
   core.finish();
-  expect_same_snapshot(core.take_snapshot(), ref.snapshot, context);
+  result.snapshot = core.take_snapshot();
+  return result;
 }
 
-std::string context_of(int instance, int family, unsigned shards,
-                       const Variant& v) {
-  return "instance=" + std::to_string(instance) +
-         " family=" + std::to_string(family) +
-         " shards=" + std::to_string(shards) + " pin=" + std::to_string(v.pin) +
-         " simd=" + std::to_string(v.simd) + " fast=" + std::to_string(v.fast);
-}
-
-// 180 traces x 3 policy families = 540 instances; width and variant
-// round-robin so every (width, variant) pair sees dozens of instances
-// without running the full 24-point product 540 times.
-TEST(HotpathVariants, CorpusCheckpointAndSnapshotByteIdentity) {
+TEST(PostedIngest, CorpusMatchesSerialIngestTraceBytes) {
   const auto traces = corpus_traces();
-  int instance = 0;
+  int instances = 0;
   for (int family = 0; family < 3; ++family) {
-    for (const auto& times : traces) {
-      const unsigned shards = kWidths[instance % 3];
-      const Variant v = kVariants[static_cast<std::size_t>(instance) % 8];
-      const Reference ref = reference_run(times, family, shards);
-      run_variant(times, family, shards, v, ref,
-                  context_of(instance, family, shards, v));
-      ++instance;
-    }
-  }
-  EXPECT_EQ(instance, 540);
-}
-
-// The full {pin x simd x fast} x width cross-product on fixed dense
-// instances — every combination, not just the round-robin sample.
-TEST(HotpathVariants, FullCrossProductOnFixedInstances) {
-  const auto traces = corpus_traces();
-  // The two densest corpus traces give every shard a nonempty mailbox
-  // at width 4.
-  std::vector<std::size_t> picks{0, 0};
-  for (std::size_t i = 0; i < traces.size(); ++i) {
-    if (traces[i].size() > traces[picks[0]].size()) {
-      picks[1] = picks[0];
-      picks[0] = i;
-    } else if (traces[i].size() > traces[picks[1]].size()) {
-      picks[1] = i;
-    }
-  }
-  for (const std::size_t pick : picks) {
-    const auto& times = traces[pick];
-    ASSERT_GE(times.size(), 16u);
-    for (int family = 0; family < 3; ++family) {
+    for (std::size_t trace = 0; trace < traces.size(); ++trace) {
       for (const unsigned shards : kWidths) {
-        const Reference ref = reference_run(times, family, shards);
-        for (const Variant& v : kVariants) {
-          run_variant(times, family, shards, v, ref,
-                      context_of(static_cast<int>(pick), family, shards, v));
-        }
+        const std::string context = "trace=" + std::to_string(trace) +
+                                    " family=" + std::to_string(family) +
+                                    " shards=" + std::to_string(shards);
+        const Result serial = serial_run(traces[trace], family, shards);
+        const Result posted = posted_run(traces[trace], family, shards);
+        EXPECT_EQ(posted.checkpoint, serial.checkpoint) << context;
+        expect_same_snapshot(posted.snapshot, serial.snapshot, context);
       }
+      ++instances;
     }
   }
+  EXPECT_EQ(instances, 540);
 }
 
 }  // namespace

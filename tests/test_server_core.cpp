@@ -8,8 +8,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "online/server.h"
@@ -215,9 +215,6 @@ sim::EngineConfig engine_config() {
   config.workload.horizon = 5.0;
   config.workload.seed = 17;
   config.delay = 0.02;
-  // The CI TSan leg re-runs the suite pinned (SMERGE_PIN_WORKERS=1);
-  // the snapshots compared below must be identical either way.
-  config.pin_workers = std::getenv("SMERGE_PIN_WORKERS") != nullptr;
   return config;
 }
 
@@ -510,6 +507,87 @@ TEST(ServerCore, SlottedDgMatchesDelayGuaranteedServer) {
   EXPECT_GT(server.peak_channels(), 0);
   // The DG schedule's cost query stays the closed form.
   EXPECT_EQ(server.transmitted_units(30), server.policy().cost(30));
+}
+
+// --- Admission preview: one home for the slot arithmetic -------------------
+
+/// Arrival times probing every slot-boundary case: 0, exact boundaries,
+/// boundary + epsilon, and slot interiors — nondecreasing, as admit()
+/// requires.
+std::vector<double> boundary_times(double delay) {
+  std::vector<double> times;
+  for (int k = 0; k < 12; ++k) {
+    const double boundary = k * delay;
+    times.push_back(boundary);
+    times.push_back(boundary + 1e-14);
+    times.push_back(boundary + delay / 3.0);
+  }
+  return times;
+}
+
+TEST(ServerCore, PreviewAgreesWithAdmitOnSlottedPolicies) {
+  for (const double delay : {0.25, 0.1}) {
+    DelayGuaranteedPolicy dg;
+    BatchingPolicy batching;
+    for (OnlinePolicy* policy : {static_cast<OnlinePolicy*>(&dg),
+                                 static_cast<OnlinePolicy*>(&batching)}) {
+      ServerCoreConfig config;
+      config.objects = 2;
+      config.delay = delay;
+      config.horizon = 4.0;
+      ServerCore core(config, *policy);
+      for (const double t : boundary_times(delay)) {
+        for (Index m = 0; m < 2; ++m) {
+          // Preview first: it must not depend on the admission it predicts.
+          const Ticket preview = core.preview_admission(m, t);
+          const Ticket ticket = core.admit(m, t);
+          const std::string where = policy->name() + " delay=" +
+                                    std::to_string(delay) +
+                                    " t=" + std::to_string(t);
+          EXPECT_TRUE(preview.admitted) << where;
+          EXPECT_EQ(preview.playback_start, ticket.playback_start) << where;
+          EXPECT_EQ(preview.wait, ticket.wait) << where;
+          EXPECT_EQ(preview.guarantee_wait, ticket.guarantee_wait) << where;
+          EXPECT_EQ(preview.slot, ticket.slot) << where;
+          EXPECT_GE(preview.wait, 0.0) << where;
+          EXPECT_FALSE(violates_guarantee(preview.wait, delay)) << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(ServerCore, PreviewLeavesGreedyToTheDrain) {
+  for (const bool batched : {false, true}) {
+    GreedyMergePolicy policy(merging::DyadicParams{}, batched);
+    ServerCoreConfig config;
+    config.delay = 0.25;
+    ServerCore core(config, policy);
+    for (const double t : boundary_times(0.25)) {
+      const Ticket preview = core.preview_admission(0, t);
+      EXPECT_TRUE(preview.admitted);
+      EXPECT_LT(preview.playback_start, 0.0) << "t=" << t;
+      EXPECT_LT(preview.wait, 0.0) << "t=" << t;
+      EXPECT_LT(preview.guarantee_wait, 0.0) << "t=" << t;
+    }
+  }
+}
+
+TEST(ServerCore, PreviewRejectsSlottedCores) {
+  for (const ServeMode serve :
+       {ServeMode::kSlottedDg, ServeMode::kSlottedBatching}) {
+    ServerCoreConfig config;
+    config.delay = 0.25;
+    config.serve = serve;
+    ServerCore core(config);
+    EXPECT_THROW((void)core.preview_admission(0, 0.0), std::invalid_argument);
+    EXPECT_THROW((void)core.preview_admission(0, 0.25 + 1e-14),
+                 std::invalid_argument);
+  }
+  BatchingPolicy policy;
+  ServerCore generic(ServerCoreConfig{}, policy);
+  EXPECT_THROW((void)generic.preview_admission(1, 0.0), std::out_of_range);
+  EXPECT_THROW((void)generic.preview_admission(0, -1.0), std::invalid_argument);
 }
 
 TEST(ServerCore, Validation) {
