@@ -5,7 +5,6 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
-#include <thread>
 
 #include "util/cli.h"
 #include "util/json_writer.h"
@@ -64,11 +63,6 @@ std::string to_json(const std::vector<BenchRun>& runs, const BenchContext& ctx) 
   w.key("quick").value(ctx.quick);
   w.key("threads").value(static_cast<std::int64_t>(ctx.threads));
   w.key("seed").value(ctx.seed);
-  // Machine context for the comparator: concurrency-sensitive sim_*
-  // throughput floors only make sense between runs on comparable
-  // hardware, so record what this host offered.
-  w.key("hardware_concurrency")
-      .value(static_cast<std::int64_t>(std::thread::hardware_concurrency()));
   w.key("benches").begin_array();
   for (const BenchRun& run : runs) {
     w.begin_object();

@@ -3,7 +3,7 @@
 // capacity-aware admit runs), torn-WAL and corrupted-checkpoint
 // handling, ledger and plan state round-trips, and the deterministic
 // fault-injection harness on a sessions-enabled flash-crowd engine run
-// at shard widths 1, 2 and 4.
+// at shard widths 1, 2 and 4, and on the same run's plain arrivals.
 //
 // The oracle everywhere: a run crashed at WAL record k and put through
 // `server::recover` (checkpoint restore + WAL tail replay + re-feed of
@@ -546,6 +546,29 @@ TEST(Recovery, FaultHarnessFlashCrowdSessionsBitIdentical) {
       expect_same_result(faulted.result, baseline, context);
     }
   }
+
+  // The same harness on plain arrivals (no session churn): a crash
+  // three records per object into the WAL, with a torn 7-byte tail,
+  // recovers from a checkpoint, drops the torn bytes and lands on the
+  // uninterrupted result.
+  sim::EngineConfig plain = flash_crowd_config(2);
+  plain.churn = {};
+  GreedyMergePolicy plain_baseline_policy(merging::DyadicParams{},
+                                          /*batched=*/true);
+  const sim::EngineResult plain_baseline =
+      sim::run_engine(plain, plain_baseline_policy);
+  sim::FaultPlan plan;
+  plan.ingest_chunks = 8;
+  plan.checkpoint_every_drains = 2;
+  plan.crash_at_record = 3 * plain.workload.objects;
+  plan.wal_torn_bytes = 7;
+  GreedyMergePolicy plain_policy(merging::DyadicParams{}, /*batched=*/true);
+  const sim::FaultRunResult faulted =
+      sim::run_engine_with_faults(plain, plain_policy, plan);
+  EXPECT_TRUE(faulted.report.crashed);
+  EXPECT_TRUE(faulted.report.recovery.used_checkpoint);
+  EXPECT_TRUE(faulted.report.recovery.wal_torn);
+  expect_same_result(faulted.result, plain_baseline, "plain arrivals");
 }
 
 TEST(Recovery, FaultHarnessCorruptedCheckpointFallsBack) {

@@ -237,6 +237,7 @@ TEST(ServerCore, ChunkedIngestMatchesOneShotEngineRun) {
         config.workload, m, weights[static_cast<std::size_t>(m)]);
   }
   Index last_peak = 0;
+  Index first_admitted = 0;
   for (int chunk = 0; chunk < 4; ++chunk) {
     const double until = config.workload.horizon * (chunk + 1) / 4.0;
     for (Index m = 0; m < 16; ++m) {
@@ -254,6 +255,7 @@ TEST(ServerCore, ChunkedIngestMatchesOneShotEngineRun) {
     const LiveStats live = core.live_stats();
     EXPECT_GE(live.peak_channels, last_peak);
     last_peak = live.peak_channels;
+    if (chunk == 0) first_admitted = live.admitted;
     const util::DelayProfile exact = core.wait_profile(/*exact=*/true);
     if (live.admitted > 100) {
       EXPECT_NEAR(live.wait.p50, exact.p50, 0.25 * config.delay);
@@ -275,6 +277,11 @@ TEST(ServerCore, ChunkedIngestMatchesOneShotEngineRun) {
   EXPECT_EQ(chunked.wait.p99, reference.wait.p99);
   EXPECT_EQ(chunked.wait.max, reference.wait.max);
   EXPECT_EQ(chunked.per_object, reference.per_object);
+  // The first live query saw a genuinely partial run, and no mid-run
+  // peak exceeds the final one.
+  EXPECT_GT(first_admitted, 0);
+  EXPECT_LT(first_admitted, chunked.total_arrivals);
+  EXPECT_LE(last_peak, chunked.peak_concurrency);
   // The mid-run ledger agrees with the legacy interval-based greedy
   // assignment: exactly the measured peak.
   const ChannelAssignment plan = assign_channels(chunked.stream_intervals);
