@@ -20,9 +20,10 @@
 //    (the pieces of every client's receiving program partition
 //    (0, L]), the Section-3.3 buffer bound b(x) = min(d, L - d),
 //    receive-two vs receive-all legality, merge completion in time,
-//    and the exact total cost / peak bandwidth. It subsumes the
-//    continuous-forest checks of `merging/continuous_playback` and
-//    the per-forest `total_cost` / `peak_concurrency` walks.
+//    and the exact total cost / peak bandwidth. It is the continuous
+//    playback check for general-arrival forests (verify
+//    `GeneralMergeForest::to_plan()`) and subsumes the per-forest
+//    `total_cost` / `peak_concurrency` walks.
 //
 // Units are whatever the producer used: slots for the delay-guaranteed
 // substrate (media length L, integer starts), normalized media lengths

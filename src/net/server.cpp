@@ -5,6 +5,7 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -443,8 +444,10 @@ void NetServer::handle_frame(Reactor& r, Connection& c, const Frame& frame) {
       if (admit.object < 0 || admit.object >= core_.config().objects) {
         throw ProtocolError("net: ADMIT object out of range");
       }
-      if (!(admit.time >= 0.0)) {
-        throw ProtocolError("net: ADMIT time must be nonnegative");
+      // ServerCore::post throws on a non-finite time, which a reactor
+      // must not do; as a protocol error it closes only this connection.
+      if (!std::isfinite(admit.time) || admit.time < 0.0) {
+        throw ProtocolError("net: ADMIT time must be finite and nonnegative");
       }
       // The wire contract: one connection's ADMIT times are
       // nondecreasing (which implies the core's per-object contract as

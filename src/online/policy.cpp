@@ -28,6 +28,24 @@ void check_delay(double delay) {
 
 // --- Delay Guaranteed -----------------------------------------------------
 
+/// L = round(1/delay), the media length in slots (>= 1). Throws
+/// std::invalid_argument unless delay is 1/L within rounding.
+Index media_slots(double delay) {
+  check_delay(delay);
+  const auto L = std::max<Index>(
+      static_cast<Index>(std::llround(1.0 / delay)), 1);
+  // The DG model slots the unit media into exactly L delay-length
+  // pieces; a delay that is not (within rounding) the reciprocal of an
+  // integer would make the admission map and the emitted schedule
+  // disagree about slot boundaries, so reject it loudly.
+  if (std::abs(delay * static_cast<double>(L) - 1.0) > 1e-9) {
+    throw std::invalid_argument(
+        "DelayGuaranteedPolicy: delay must be 1/L for an integer slot "
+        "count L");
+  }
+  return L;
+}
+
 class DgObjectPolicy final : public ObjectPolicy {
  public:
   DgObjectPolicy(std::shared_ptr<const DelayGuaranteedOnline> dg, double delay)
@@ -173,22 +191,6 @@ void OnlinePolicy::prepare(double delay, double horizon) {
 }
 
 std::string DelayGuaranteedPolicy::name() const { return "delay-guaranteed"; }
-
-Index DelayGuaranteedPolicy::media_slots(double delay) {
-  check_delay(delay);
-  const auto L = std::max<Index>(
-      static_cast<Index>(std::llround(1.0 / delay)), 1);
-  // The DG model slots the unit media into exactly L delay-length
-  // pieces; a delay that is not (within rounding) the reciprocal of an
-  // integer would make the admission map and the emitted schedule
-  // disagree about slot boundaries, so reject it loudly.
-  if (std::abs(delay * static_cast<double>(L) - 1.0) > 1e-9) {
-    throw std::invalid_argument(
-        "DelayGuaranteedPolicy: delay must be 1/L for an integer slot "
-        "count L");
-  }
-  return L;
-}
 
 void DelayGuaranteedPolicy::prepare(double delay, double horizon) {
   OnlinePolicy::prepare(delay, horizon);

@@ -6,9 +6,9 @@
 // and multicast streams (start + duration) into a PolicySink. Three of
 // the paper's algorithms plug in behind the same interface:
 //
-//  * DelayGuaranteedPolicy — Section 4.1, refactored out of
-//    online/delay_guaranteed + online/server: a stream per slot with
-//    template-tree truncation, demand-independent, wait <= delay;
+//  * DelayGuaranteedPolicy — Section 4.1 over online/delay_guaranteed:
+//    a stream per slot with template-tree truncation,
+//    demand-independent, wait <= delay;
 //  * BatchingPolicy — one full stream at the end of every nonempty
 //    delay-interval (the Theorem-14 baseline), wait <= delay;
 //  * GreedyMergePolicy — the (alpha,beta)-dyadic merger of Section 4.2,
@@ -42,8 +42,8 @@ namespace smerge {
 /// (t*D, (t+1)*D] — is served by the stream starting at the slot's end,
 /// and an arrival exactly on a boundary joins the stream starting right
 /// there (zero wait). The single home of the mapping, shared by
-/// DelayGuaranteedPolicy and the event-driven DelayGuaranteedServer
-/// (src/online/server.h).
+/// DelayGuaranteedPolicy and ServerCore's slotted batching admission;
+/// `slot % block_size` is the client's ProgramTable position.
 [[nodiscard]] Index dg_slot_of(double arrival_time, double slot_duration);
 
 /// The batching interval end serving an arrival at `t`: intervals are
@@ -134,10 +134,6 @@ class DelayGuaranteedPolicy final : public OnlinePolicy {
   void prepare(double delay, double horizon) override;
   [[nodiscard]] std::unique_ptr<ObjectPolicy> make_object_policy(
       double delay, double horizon) const override;
-
-  /// L = round(1/delay), the media length in slots (>= 1). Throws
-  /// std::invalid_argument unless delay is 1/L within rounding.
-  [[nodiscard]] static Index media_slots(double delay);
 
  private:
   std::shared_ptr<const DelayGuaranteedOnline> shared_;  ///< built in prepare

@@ -28,11 +28,6 @@ void append_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
   WalRecord record;
   const std::uint8_t tag = r.u8();
   switch (tag) {
-    case 1:
-      record.type = WalRecordType::kIngest;
-      record.object = r.i64();
-      record.times.push_back(r.f64());
-      break;
     case 2:
       record.type = WalRecordType::kIngestTrace;
       record.object = r.i64();
@@ -71,14 +66,6 @@ void AdmissionWal::append_record(std::span<const std::uint8_t> payload) {
   append_u64(bytes_, util::fnv1a64(payload));
   bytes_.insert(bytes_.end(), payload.begin(), payload.end());
   ++records_;
-}
-
-void AdmissionWal::log_ingest(Index object, double time) {
-  util::SnapshotWriter w;
-  w.u8(1);
-  w.i64(object);
-  w.f64(time);
-  append_record(w.payload());
 }
 
 void AdmissionWal::log_ingest_trace(Index object,
@@ -199,9 +186,6 @@ RecoveredCore recover(
        i < parsed.records.size(); ++i) {
     WalRecord& record = parsed.records[i];
     switch (record.type) {
-      case WalRecordType::kIngest:
-        out.core->ingest(record.object, record.times.front());
-        break;
       case WalRecordType::kIngestTrace:
         out.core->ingest_trace(record.object, record.times);
         break;

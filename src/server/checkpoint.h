@@ -33,9 +33,9 @@
 
 namespace smerge::server {
 
-/// What one WAL record describes.
+/// What one WAL record describes. The values are the on-disk record
+/// tags; tag 1 is retired and parses as damage (a torn tail).
 enum class WalRecordType : std::uint8_t {
-  kIngest = 1,          ///< one arrival: ingest(object, time)
   kIngestTrace = 2,     ///< a trace batch: ingest_trace(object, times)
   kIngestSessions = 3,  ///< a session batch: ingest_session_trace(...)
   kAdmit = 4,           ///< serial live path: admit(object, time)
@@ -46,7 +46,7 @@ enum class WalRecordType : std::uint8_t {
 struct WalRecord {
   WalRecordType type = WalRecordType::kDrain;
   Index object = -1;
-  std::vector<double> times;            ///< kIngest/kAdmit: one; kIngestTrace: all
+  std::vector<double> times;            ///< kAdmit: one; kIngestTrace: all
   std::vector<SessionTrace> sessions;   ///< kIngestSessions only
 };
 
@@ -59,7 +59,6 @@ class AdmissionWal {
  public:
   AdmissionWal();
 
-  void log_ingest(Index object, double time);
   void log_ingest_trace(Index object, std::span<const double> times);
   void log_ingest_sessions(Index object,
                            std::span<const SessionTrace> sessions);

@@ -48,6 +48,10 @@ struct PostedArrival {
   std::uint64_t seq = 0;
 };
 
+/// The arrival-time test of every ingest entry point. A non-finite time
+/// would reach the slot arithmetic as an out-of-range integer cast.
+bool valid_time(double t) noexcept { return t >= 0.0 && std::isfinite(t); }
+
 bool posted_less(const PostedArrival& a, const PostedArrival& b) noexcept {
   if (a.time != b.time) return a.time < b.time;
   return a.seq < b.seq;
@@ -217,8 +221,6 @@ struct ServerCore::ObjectState final : PolicySink {
   // Serving state.
   double last_time = 0.0;     ///< monotonicity guard (ingest + admit)
   double last_playback = 0.0; ///< most recent admission (ticket assembly)
-  Index last_slot = -1;       ///< slotted modes
-  Index dg_emitted = -1;      ///< SlottedDg: last slot already in the ledger
   std::vector<std::uint8_t> slot_has_stream;  ///< SlottedBatching
 };
 
@@ -273,10 +275,6 @@ struct ServerCore::Impl {
   double wait_sum = 0.0;
   double wait_max = 0.0;
   Index wait_count = 0;
-
-  // Slotted Delay Guaranteed substrate.
-  std::shared_ptr<const DelayGuaranteedOnline> dg;
-  std::unique_ptr<ProgramTable> table;
 
   /// A policy instance of the catalogue's family that is never fed
   /// arrivals (generic path only): preview_admission asks it for the
@@ -357,24 +355,13 @@ void ServerCore::build_objects(OnlinePolicy* policy) {
   // Streams can outlive the horizon by up to one media length plus the
   // defer slack; later times clamp into the ledger's final bucket,
   // which stays exact (only slower to scan). Open-ended cores
-  // (horizon 0, e.g. the DelayGuaranteedServer adapter) get a 32-media
-  // floor so live queries keep their bucketed complexity over a
-  // realistic served window instead of piling everything into one
-  // overflow bucket.
+  // (horizon 0) get a 32-media floor so live queries keep their
+  // bucketed complexity over a realistic served window instead of
+  // piling everything into one overflow bucket.
   const double span =
       std::max(32.0, config_.horizon + 1.0) +
       config_.delay * static_cast<double>(config_.max_defer_slots + 2);
   impl_ = std::make_unique<Impl>(span, bucket);
-
-  if (config_.serve == ServeMode::kSlottedDg) {
-    Index slots = config_.dg_media_slots;
-    if (slots < 0) {
-      throw std::invalid_argument("ServerCore: dg_media_slots must be >= 0");
-    }
-    if (slots == 0) slots = DelayGuaranteedPolicy::media_slots(config_.delay);
-    impl_->dg = std::make_shared<const DelayGuaranteedOnline>(slots);
-    impl_->table = std::make_unique<ProgramTable>(*impl_->dg);
-  }
 
   impl_->objects.reserve(index_of(config_.objects));
   for (Index m = 0; m < config_.objects; ++m) {
@@ -565,36 +552,6 @@ void ServerCore::repair_object_plan(ObjectState& state) {
 
 // --- Ingest -----------------------------------------------------------------
 
-void ServerCore::ingest(Index object, double time) {
-  if (impl_->finished) throw std::logic_error("ServerCore: already finished");
-  if (config_.serve != ServeMode::kPolicy) {
-    throw std::invalid_argument(
-        "ServerCore: ingest/drain serve the generic policy path; slotted "
-        "modes use admit()");
-  }
-  if (config_.enable_sessions) {
-    throw std::invalid_argument(
-        "ServerCore: a session core must know every client's lifecycle — "
-        "use ingest_session_trace");
-  }
-  if (object < 0 || object >= config_.objects) {
-    throw std::out_of_range("ServerCore::ingest: object out of range");
-  }
-  if (time < 0.0 || time < impl_->objects[index_of(object)]->last_time) {
-    throw std::invalid_argument(
-        "ServerCore::ingest: arrivals must be nondecreasing per object");
-  }
-  ObjectState& state = *impl_->objects[index_of(object)];
-  state.pending.push_back(time);
-  state.last_time = time;
-  if (time > impl_->clock) impl_->clock = time;
-  ++impl_->arrivals;
-  if (!state.dirty) {
-    state.dirty = true;
-    impl_->shard_dirty[index_of(object) % config_.shards].push_back(object);
-  }
-}
-
 void ServerCore::ingest_trace(Index object, std::vector<double> times) {
   if (impl_->finished) throw std::logic_error("ServerCore: already finished");
   if (config_.serve != ServeMode::kPolicy) {
@@ -615,9 +572,10 @@ void ServerCore::ingest_trace(Index object, std::vector<double> times) {
   const auto count = static_cast<Index>(times.size());
   double last = state.last_time;
   for (const double t : times) {
-    if (t < 0.0 || t < last) {
+    if (!valid_time(t) || t < last) {
       throw std::invalid_argument(
-          "ServerCore::ingest_trace: arrivals must be nondecreasing per object");
+          "ServerCore::ingest_trace: arrivals must be finite and "
+          "nondecreasing per object");
     }
     last = t;
   }
@@ -650,8 +608,9 @@ void ServerCore::post(Index object, double time) {
   if (object < 0 || object >= config_.objects) {
     throw std::out_of_range("ServerCore::post: object out of range");
   }
-  if (!(time >= 0.0)) {
-    throw std::invalid_argument("ServerCore::post: negative arrival time");
+  if (!valid_time(time)) {
+    throw std::invalid_argument(
+        "ServerCore::post: arrival time must be finite and nonnegative");
   }
   Impl::ShardMailbox& mb =
       *impl_->mailboxes[index_of(object) % config_.shards];
@@ -752,10 +711,10 @@ void ServerCore::ingest_session_trace(Index object,
   ObjectState& state = *impl_->objects[index_of(object)];
   double last = state.last_time;
   for (const SessionTrace& session : sessions) {
-    if (session.arrival < 0.0 || session.arrival < last) {
+    if (!valid_time(session.arrival) || session.arrival < last) {
       throw std::invalid_argument(
-          "ServerCore::ingest_session_trace: arrivals must be nondecreasing "
-          "per object");
+          "ServerCore::ingest_session_trace: arrivals must be finite and "
+          "nondecreasing per object");
     }
     last = session.arrival;
   }
@@ -834,8 +793,9 @@ Ticket ServerCore::admit(Index object, double time) {
   if (object < 0 || object >= config_.objects) {
     throw std::out_of_range("ServerCore::admit: object out of range");
   }
-  if (time < 0.0) {
-    throw std::invalid_argument("ServerCore::admit: negative arrival time");
+  if (!valid_time(time)) {
+    throw std::invalid_argument(
+        "ServerCore::admit: arrival time must be finite and nonnegative");
   }
   if (config_.enable_sessions) {
     throw std::invalid_argument(
@@ -881,24 +841,6 @@ void ServerCore::start_slot_stream(ObjectState& state, Index slot, double start,
   }
 }
 
-void ServerCore::dg_emit_through(ObjectState& state, Index slot) {
-  const MergeTree& tmpl = impl_->dg->template_tree();
-  const Index block = impl_->dg->block_size();
-  for (Index t = state.dg_emitted + 1; t <= slot; ++t) {
-    const Index local = t % block;
-    const Index parent = local == 0 ? -1 : (t - local) + tmpl.parent(local);
-    // Unclipped template truncation: the running schedule cannot know
-    // the final horizon yet, so final-block pruning applies only to the
-    // closed-form cost (DelayGuaranteedOnline::cost), not the ledger.
-    const Index block_end = (t - local) + block;
-    state.start_stream(
-        static_cast<double>(t + 1) * config_.delay,
-        static_cast<double>(impl_->dg->stream_length(t, block_end)) * config_.delay,
-        parent);
-  }
-  if (slot > state.dg_emitted) state.dg_emitted = slot;
-}
-
 Ticket ServerCore::admit_slotted(Index object, double time) {
   ObjectState& state = *impl_->objects[index_of(object)];
   const double delay = config_.delay;
@@ -910,23 +852,8 @@ Ticket ServerCore::admit_slotted(Index object, double time) {
   ticket.decision_time = time;
   ticket.slot = slot;
 
-  if (config_.serve == ServeMode::kSlottedDg) {
-    // Delay Guaranteed: the schedule is fixed (a stream per slot), the
-    // admission is a pure O(1) lookup.
-    dg_emit_through(state, slot);
-    ticket.admitted = true;
-    ticket.playback_start = static_cast<double>(slot + 1) * delay;
-    ticket.wait = ticket.playback_start - time;
-    ticket.guarantee_wait = ticket.wait;
-    ticket.program = slot % impl_->dg->block_size();
-    state.record_admission(time, ticket.playback_start, time);
-    if (slot > state.last_slot) state.last_slot = slot;
-    flush_object(object);
-    return ticket;
-  }
-
-  // Slotted batching: one full stream per nonempty slot; the channel
-  // budget is checked before the client is accepted.
+  // One full stream per nonempty slot; the channel budget is checked
+  // before the client is accepted.
   const auto slot_covered = [&](Index s) {
     return index_of(s) < state.slot_has_stream.size() &&
            state.slot_has_stream[index_of(s)] != 0;
@@ -988,7 +915,6 @@ Ticket ServerCore::admit_slotted(Index object, double time) {
   ticket.wait = ticket.playback_start - time;
   ticket.guarantee_wait = ticket.playback_start - ticket.decision_time;
   state.record_admission(time, ticket.playback_start, ticket.decision_time);
-  if (serve_slot > state.last_slot) state.last_slot = serve_slot;
   flush_object(object);
   return ticket;
 }
@@ -1017,12 +943,6 @@ void ServerCore::finish() {
           state.policy->finish(config_.horizon, state);
         },
         config_.shards);
-  } else if (config_.serve == ServeMode::kSlottedDg && config_.horizon > 0.0) {
-    // The DG schedule is demand-independent: extend it through every
-    // slot that begins within the horizon.
-    const auto slots = static_cast<Index>(
-        std::ceil(config_.horizon / config_.delay - 1e-12));
-    for (auto& state : impl_->objects) dg_emit_through(*state, slots - 1);
   }
 
   std::vector<Index>& all = impl_->fold_order;
@@ -1224,25 +1144,11 @@ double ServerCore::object_cost(Index object) const {
   return impl_->objects[index_of(object)]->outcome.cost;
 }
 
-Index ServerCore::object_clients(Index object) const {
-  if (object < 0 || object >= config_.objects) {
-    throw std::out_of_range("ServerCore::object_clients");
-  }
-  return static_cast<Index>(impl_->objects[index_of(object)]->waits.size());
-}
-
-Index ServerCore::object_last_slot(Index object) const {
-  if (object < 0 || object >= config_.objects) {
-    throw std::out_of_range("ServerCore::object_last_slot");
-  }
-  return impl_->objects[index_of(object)]->last_slot;
-}
-
 // --- Crash consistency ------------------------------------------------------
 
 namespace {
 
-constexpr std::string_view kCheckpointSchema = "smerge-ckpt-v1";
+constexpr std::string_view kCheckpointSchema = "smerge-ckpt-v2";
 
 void save_p2(util::SnapshotWriter& w, const util::P2State& s) {
   w.f64(s.q);
@@ -1274,7 +1180,6 @@ void save_config(util::SnapshotWriter& w, const ServerCoreConfig& c) {
   w.u8(static_cast<std::uint8_t>(c.admission));
   w.i64(c.max_defer_slots);
   w.f64(c.ledger_bucket);
-  w.i64(c.dg_media_slots);
   w.boolean(c.collect_stream_intervals);
   w.boolean(c.collect_plans);
   w.boolean(c.enable_sessions);
@@ -1303,7 +1208,6 @@ void check_config(util::SnapshotReader& r, const ServerCoreConfig& c) {
   if (r.u8() != static_cast<std::uint8_t>(c.admission)) mismatch("admission");
   if (r.i64() != c.max_defer_slots) mismatch("max_defer_slots");
   if (r.f64() != c.ledger_bucket) mismatch("ledger_bucket");
-  if (r.i64() != c.dg_media_slots) mismatch("dg_media_slots");
   if (r.boolean() != c.collect_stream_intervals) {
     mismatch("collect_stream_intervals");
   }
@@ -1416,8 +1320,6 @@ std::vector<std::uint8_t> ServerCore::checkpoint(
 
     w.f64(s.last_time);
     w.f64(s.last_playback);
-    w.i64(s.last_slot);
-    w.i64(s.dg_emitted);
     w.u64(s.slot_has_stream.size());
     for (const std::uint8_t b : s.slot_has_stream) w.u8(b);
 
@@ -1548,8 +1450,6 @@ RestoreInfo ServerCore::restore_state(std::span<const std::uint8_t> frame) {
 
     s.last_time = r.f64();
     s.last_playback = r.f64();
-    s.last_slot = r.i64();
-    s.dg_emitted = r.i64();
     const std::uint64_t slot_count = r.u64();
     if (slot_count > r.remaining()) {
       throw util::SnapshotError("checkpoint: slot flags exceed remaining");
@@ -1589,9 +1489,9 @@ Ticket ServerCore::preview_admission(Index object, double time) const {
   if (object < 0 || object >= config_.objects) {
     throw std::out_of_range("ServerCore::preview_admission: bad object id");
   }
-  if (!(time >= 0.0)) {
+  if (!valid_time(time)) {
     throw std::invalid_argument(
-        "ServerCore::preview_admission: time must be nonnegative");
+        "ServerCore::preview_admission: time must be finite and nonnegative");
   }
   const double playback = impl_->preview_policy->playback_start(time);
   Ticket ticket = policy_ticket(object, time, playback);
@@ -1608,20 +1508,6 @@ void ServerCore::degrade_admissions() noexcept {
       config_.admission == AdmissionMode::kDefer) {
     config_.admission = AdmissionMode::kDegrade;
   }
-}
-
-const DelayGuaranteedOnline& ServerCore::dg_policy() const {
-  if (impl_->dg == nullptr) {
-    throw std::logic_error("ServerCore::dg_policy: not a SlottedDg core");
-  }
-  return *impl_->dg;
-}
-
-const ProgramTable& ServerCore::programs() const {
-  if (impl_->table == nullptr) {
-    throw std::logic_error("ServerCore::programs: not a SlottedDg core");
-  }
-  return *impl_->table;
 }
 
 }  // namespace smerge::server

@@ -1,13 +1,12 @@
 // The sharded, incremental serving runtime — the one live core behind
-// the simulation engine, the event-driven Delay Guaranteed server and
-// the examples.
+// the simulation engine, the network front end and the examples.
 //
 // A ServerCore hosts a catalogue of N media objects and ingests client
 // arrivals incrementally, in either of two shapes:
 //
-//  * the batched path — `ingest`/`ingest_trace` append arrivals to
-//    per-shard mailboxes (objects are round-robined over shards);
-//    `drain()` fans the shards out over the persistent
+//  * the batched path — `ingest_trace` and the lock-free `post()` append
+//    arrivals to per-shard mailboxes (objects are round-robined over
+//    shards); `drain()` fans the shards out over the persistent
 //    `util::ThreadPool`, delivering each object's pending arrivals in
 //    time order to its `ObjectPolicy` (src/online/policy.h), then runs
 //    a serial epilogue in object-id order that folds the new streams
@@ -16,14 +15,13 @@
 //    object's evolution is a pure function of its own arrival sequence
 //    and the epilogue order is fixed.
 //  * the serial live path — `admit(object, time)` decides one arrival
-//    immediately and returns a Ticket. Under the slotted serving modes
-//    (Delay Guaranteed and batching, where the stream an admission
-//    needs is statically known) this is where capacity-aware admission
-//    lives: a channel budget checked against the incremental ledger
-//    *before* the client is accepted, with selectable overload
-//    behaviour — reject, defer to a later slot, or degrade to
-//    batching — instead of the legacy engine's post-hoc violation
-//    counting.
+//    immediately and returns a Ticket. Under slotted batching serving
+//    (where the stream an admission needs is statically known) this is
+//    where capacity-aware admission lives: a channel budget checked
+//    against the incremental ledger *before* the client is accepted,
+//    with selectable overload behaviour — reject, defer to a later
+//    slot, or degrade to a later batch — instead of the legacy engine's
+//    post-hoc violation counting.
 //
 // Live queries — current/peak channels, running delay percentiles
 // (P² estimates or exact-on-demand), per-object cost — are answerable
@@ -44,7 +42,6 @@
 #include "core/plan_repair.h"
 #include "core/session.h"
 #include "online/policy.h"
-#include "online/program_table.h"
 #include "schedule/channels.h"
 #include "server/channel_ledger.h"
 #include "util/stats.h"
@@ -67,13 +64,12 @@ enum class AdmissionMode {
 /// Human-readable admission-mode name.
 [[nodiscard]] const char* to_string(AdmissionMode mode) noexcept;
 
-/// How arrivals are served.
+/// How arrivals are served. The values are part of the checkpoint's
+/// config echo, so they are fixed.
 enum class ServeMode {
-  kPolicy,          ///< any OnlinePolicy via per-object ObjectPolicy state
-  kSlottedDg,       ///< native Delay Guaranteed: stream per slot, O(1)
-                    ///< program handout (observe only)
-  kSlottedBatching, ///< native batching: one full stream per nonempty
-                    ///< slot; all admission modes supported
+  kPolicy = 0,           ///< any OnlinePolicy via per-object ObjectPolicy state
+  kSlottedBatching = 2,  ///< native batching: one full stream per nonempty
+                         ///< slot; all admission modes supported
 };
 
 /// One ServerCore run: catalogue x serving mode x channel budget.
@@ -92,7 +88,6 @@ struct ServerCoreConfig {
                                 ///< never depend on it (overflow spills,
                                 ///< nothing drops), so checkpoints ignore
                                 ///< it like the shard width.
-  Index dg_media_slots = 0;     ///< SlottedDg: L in slots; 0 = round(1/delay)
   bool collect_stream_intervals = false;  ///< keep all intervals (O(streams))
   bool collect_plans = false;   ///< assemble per-object MergePlans (O(streams))
 
@@ -107,9 +102,7 @@ struct ServerCoreConfig {
   plan::ChunkingConfig chunking;  ///< segment timeline for emitted plans
 };
 
-/// What a client receives back from `admit`. All indices are stable for
-/// the core's lifetime — in particular `program` is a position in the
-/// ProgramTable (never a pointer that later growth could invalidate).
+/// What a client receives back from `admit`.
 struct Ticket {
   bool admitted = false;
   Index object = 0;
@@ -122,7 +115,8 @@ struct Ticket {
                                 ///< span the delay guarantee covers
   Index deferred_slots = 0;     ///< slots the admission was pushed back
   bool degraded = false;        ///< served by a later batch than promised
-  Index program = -1;           ///< ProgramTable index (SlottedDg), else -1
+  Index program = -1;           ///< always -1; kept only because the SMN1
+                                ///< TICKET frame's layout carries it
 };
 
 /// Per-object totals (index = object id). Field-compatible with the
@@ -231,8 +225,8 @@ class ServerCore {
   /// mode/serve combination.
   ServerCore(const ServerCoreConfig& config, OnlinePolicy& policy);
 
-  /// Slotted core (`kSlottedDg` / `kSlottedBatching`): self-contained,
-  /// no external policy.
+  /// Slotted batching core (`kSlottedBatching`): self-contained, no
+  /// external policy.
   explicit ServerCore(const ServerCoreConfig& config);
 
   ~ServerCore();
@@ -240,6 +234,8 @@ class ServerCore {
   ServerCore& operator=(const ServerCore&) = delete;
 
   // --- Ingest -------------------------------------------------------------
+  // Every entry point below throws std::invalid_argument on a negative
+  // or non-finite arrival time.
 
   /// Serial live path: decides this arrival now and returns its ticket.
   /// Arrivals must be nondecreasing per object (and, for the capacity
@@ -248,11 +244,10 @@ class ServerCore {
   /// check runs.
   Ticket admit(Index object, double time);
 
-  /// Batched path: appends one arrival to the owning shard's mailbox
-  /// (no processing until `drain`). Generic-policy serving only.
-  void ingest(Index object, double time);
-  /// Appends a whole time-ordered trace for one object (moved, O(1)
-  /// when the object's mailbox is empty).
+  /// Batched path: appends a whole time-ordered trace for one object
+  /// to the owning shard's mailbox (moved, O(1) when the object's
+  /// mailbox is empty; no processing until `drain`). Generic-policy
+  /// serving only.
   void ingest_trace(Index object, std::vector<double> times);
 
   /// Lock-free concurrent ingest: stamps the arrival with a per-shard
@@ -272,7 +267,7 @@ class ServerCore {
   void post(Index object, double time);
 
   /// Session-lifecycle ingest (`enable_sessions` only; plain
-  /// ingest/ingest_trace then throw — a session core must know every
+  /// ingest_trace/post/admit then throw — a session core must know every
   /// client's lifecycle). Each trace is one client: its arrival feeds
   /// the policy exactly like a plain arrival (so the admission stream
   /// is unchanged), its events are resolved to wall times against the
@@ -311,11 +306,6 @@ class ServerCore {
   [[nodiscard]] util::DelayProfile wait_profile(bool exact);
   /// Media units transmitted by one object so far.
   [[nodiscard]] double object_cost(Index object) const;
-  /// Clients admitted for one object so far.
-  [[nodiscard]] Index object_clients(Index object) const;
-  /// Latest slot any client of `object` was served in (-1 before the
-  /// first admission). Slotted modes.
-  [[nodiscard]] Index object_last_slot(Index object) const;
 
   /// The configuration the core was built with.
   [[nodiscard]] const ServerCoreConfig& config() const noexcept { return config_; }
@@ -330,19 +320,9 @@ class ServerCore {
   /// the network front end stamps TICKET replies from: any reactor
   /// thread may call it concurrently with post() and drain(). Throws
   /// std::invalid_argument on a slotted core (whose admissions depend on
-  /// the live ledger) or a negative time, std::out_of_range on a bad
-  /// object id.
+  /// the live ledger) or a negative or non-finite time,
+  /// std::out_of_range on a bad object id.
   [[nodiscard]] Ticket preview_admission(Index object, double time) const;
-
-  // --- Slotted-DG access (the DelayGuaranteedServer adapter) --------------
-
-  /// The shared static DG policy; throws std::logic_error outside
-  /// `kSlottedDg`.
-  [[nodiscard]] const DelayGuaranteedOnline& dg_policy() const;
-  /// The O(1) receiving-program table; `Ticket::program` indexes into
-  /// it and stays valid for the core's lifetime (entries are built once
-  /// at construction and never reallocated afterwards).
-  [[nodiscard]] const ProgramTable& programs() const;
 
   // --- Crash consistency --------------------------------------------------
 
@@ -350,7 +330,7 @@ class ServerCore {
   /// counters, P² percentile markers, the channel ledger (difference
   /// counters + sorted-prefix cursors), and every object's recorder,
   /// mailbox, session log and policy state — into a checksummed
-  /// `smerge-ckpt-v1` frame. Valid at any quiescent pre-finish point
+  /// `smerge-ckpt-v2` frame. Valid at any quiescent pre-finish point
   /// (between drains / admits). `wal_records` is the number of admission
   /// WAL records this state already covers (the replay cursor);
   /// `driver_blob` is an opaque extension the driver gets back verbatim
@@ -395,7 +375,6 @@ class ServerCore {
   void repair_object_plan(ObjectState& state);
   void flush_object(Index object);
   void epilogue(std::span<const Index> objects);
-  void dg_emit_through(ObjectState& state, Index slot);
   bool slot_stream_fits(double start, double duration);
   void start_slot_stream(ObjectState& state, Index slot, double start,
                          double duration, Index parent);

@@ -228,7 +228,6 @@ FaultRunResult run_engine_with_faults(const EngineConfig& config,
     for (const server::WalRecord& record : recovered.replayed) {
       const auto m = static_cast<std::size_t>(record.object);
       switch (record.type) {
-        case server::WalRecordType::kIngest:
         case server::WalRecordType::kAdmit:
           resume.cursors[m] += 1;
           break;

@@ -25,14 +25,12 @@
 #include "schedule/receiving_program.h"
 #include "schedule/stream_schedule.h"
 
-// On-line Delay Guaranteed policy, program table, server.
+// On-line Delay Guaranteed algorithm and program table.
 #include "online/delay_guaranteed.h"
 #include "online/program_table.h"
-#include "online/server.h"
 
 // General-arrivals merging: dyadic, batching, off-line optimum.
 #include "merging/batching.h"
-#include "merging/continuous_playback.h"
 #include "merging/dyadic.h"
 #include "merging/general_forest.h"
 #include "merging/optimal_general.h"
@@ -46,7 +44,6 @@
 #include "sim/arrivals.h"
 #include "sim/experiment.h"
 #include "sim/hybrid.h"
-#include "sim/multi_object.h"
 
 // Utilities.
 #include "util/cli.h"

@@ -161,6 +161,12 @@ TEST(Engine, DelayGuaranteedCostIsDemandIndependent) {
   const EngineResult b = run_engine(heavy, policy);
   EXPECT_DOUBLE_EQ(a.streams_served, b.streams_served);
   EXPECT_EQ(a.peak_concurrency, b.peak_concurrency);
+  // The Section-5 contrast: DG caps the peak bandwidth whatever the
+  // load, while immediate dyadic service scales with demand.
+  GreedyMergePolicy immediate(merging::DyadicParams{}, /*batched=*/false);
+  const EngineResult dyadic_light = run_engine(light, immediate);
+  const EngineResult dyadic_heavy = run_engine(heavy, immediate);
+  EXPECT_GT(dyadic_heavy.peak_concurrency, dyadic_light.peak_concurrency);
 }
 
 TEST(Engine, SimulatedDgRespectsTheorem22Bound) {

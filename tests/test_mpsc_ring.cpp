@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -390,7 +391,10 @@ TEST(ServerCorePost, ValidatesArgumentsAndServeMode) {
   server::ServerCore core(config, policy);
   EXPECT_THROW(core.post(-1, 0.5), std::out_of_range);
   EXPECT_THROW(core.post(4, 0.5), std::out_of_range);
-  EXPECT_THROW(core.post(0, -0.5), std::invalid_argument);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double t : {-0.5, std::numeric_limits<double>::quiet_NaN(), kInf, -kInf}) {
+    EXPECT_THROW(core.post(0, t), std::invalid_argument) << "t=" << t;
+  }
 
   server::ServerCoreConfig slotted = config;
   slotted.serve = server::ServeMode::kSlottedBatching;

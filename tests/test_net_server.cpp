@@ -8,10 +8,12 @@
 // per-connection contract violations) must stay contained to their
 // connection.
 #include <sys/socket.h>
+#include <sys/time.h>
 
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -55,8 +57,8 @@ server::ServerCoreConfig core_config(Index objects, unsigned shards) {
 
 /// Serial trace-fed run — the reference every wire run must match.
 std::uint64_t reference_digest(const std::vector<std::vector<double>>& traces,
+                               OnlinePolicy& policy,
                                server::Snapshot* out = nullptr) {
-  BatchingPolicy policy;
   server::ServerCore core(core_config(static_cast<Index>(traces.size()), 2),
                           policy);
   for (std::size_t m = 0; m < traces.size(); ++m) {
@@ -67,6 +69,12 @@ std::uint64_t reference_digest(const std::vector<std::vector<double>>& traces,
   const std::uint64_t digest = server::snapshot_digest(snap);
   if (out != nullptr) *out = std::move(snap);
   return digest;
+}
+
+std::uint64_t reference_digest(const std::vector<std::vector<double>>& traces,
+                               server::Snapshot* out = nullptr) {
+  BatchingPolicy policy;
+  return reference_digest(traces, policy, out);
 }
 
 bool snapshots_match(const server::Snapshot& a, const server::Snapshot& b) {
@@ -357,6 +365,41 @@ TEST(NetServer, DecreasingAdmitTimeClosesConnection) {
   const server::WireSummary summary = control.finish();
   EXPECT_TRUE(summary.ok);
   control.close();
+  server.stop();
+}
+
+// A non-finite ADMIT time closes only its own connection; it must not
+// reach Delay Guaranteed's slot arithmetic and fail everyone's run.
+TEST(NetServer, NonFiniteAdmitTimeClosesOnlyItsConnection) {
+  const auto traces = make_traces(2, 5);  // ten admits
+  DelayGuaranteedPolicy reference_policy;
+  const std::uint64_t expected = reference_digest(traces, reference_policy);
+  DelayGuaranteedPolicy policy;
+  NetServerConfig net;
+  net.drain_interval_us = 200;
+  NetServer server(net, core_config(2, 2), policy);
+  server.start();
+
+  FdHandle bad = connect_tcp("127.0.0.1", server.port());
+  // Bounded wait: a server that accepted the admit would never close.
+  const timeval timeout{5, 0};
+  ASSERT_EQ(::setsockopt(bad.get(), SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof timeout),
+            0);
+  std::vector<std::uint8_t> out;
+  append_admit(out, 1, 1, std::numeric_limits<double>::infinity());
+  ASSERT_GT(::send(bad.get(), out.data(), out.size(), MSG_NOSIGNAL), 0);
+  char buf[256];
+  ssize_t n = 0;
+  while ((n = ::recv(bad.get(), buf, sizeof buf, 0)) > 0) {
+  }
+  EXPECT_EQ(n, 0) << "server must close the bad connection";
+  bad.reset();
+  EXPECT_GE(server.counters().protocol_errors, 1u);
+
+  const server::WireSummary summary = drive_wire(server, traces, 1);
+  EXPECT_TRUE(summary.ok);
+  EXPECT_EQ(summary.digest, expected);
   server.stop();
 }
 

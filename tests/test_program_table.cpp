@@ -1,13 +1,14 @@
-// Tests for the O(1) receiving-program lookup table and the event-driven
-// Delay Guaranteed server (Section 4.2's simplicity claim, executable).
+// Tests for the O(1) receiving-program lookup table and for serving
+// Delay Guaranteed through it (Section 4.2's simplicity claim,
+// executable).
 #include "online/program_table.h"
 
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 
-#include "online/server.h"
 #include "schedule/playback.h"
+#include "server/server_core.h"
 
 namespace smerge {
 namespace {
@@ -59,68 +60,60 @@ TEST(ProgramTable, LookupValidation) {
   EXPECT_THROW(table.program_at(-1), std::out_of_range);
 }
 
-TEST(Server, WaitIsAlwaysWithinOneSlot) {
-  DelayGuaranteedServer server(100, 0.01);
+// Serving DG: DelayGuaranteedPolicy on a generic ServerCore admits a
+// client to slot `dg_slot_of(arrival, delay)`, whose receiving program
+// is the table entry at `slot % block_size`.
+
+TEST(DgServing, WaitIsAlwaysWithinOneSlot) {
+  DelayGuaranteedPolicy policy;
+  server::ServerCoreConfig config;
+  config.delay = 0.01;
+  server::ServerCore core(config, policy);
+  const ProgramTable table{DelayGuaranteedOnline(100)};
   double t = 0.0;
   for (int i = 0; i < 500; ++i) {
     t += 0.0137;  // irrational-ish stride hits many slot phases
-    const ClientTicket ticket = server.admit(t);
+    const server::Ticket ticket = core.admit(0, t);
     EXPECT_GT(ticket.wait, -1e-12);
     EXPECT_LE(ticket.wait, 0.01 + 1e-12);
-    EXPECT_NEAR(ticket.playback_start, static_cast<double>(ticket.slot + 1) * 0.01,
+    const Index slot = dg_slot_of(t, 0.01);
+    EXPECT_NEAR(ticket.playback_start, static_cast<double>(slot + 1) * 0.01,
                 1e-12);
-    // The ticket's program is a stable index into the table, valid for
-    // the server's lifetime (never a pointer that growth could dangle).
-    ASSERT_GE(ticket.program, 0);
-    ASSERT_LT(ticket.program, server.programs().block_size());
+    EXPECT_FALSE(table.lookup(slot % table.block_size()).blocks.empty());
   }
-  EXPECT_EQ(server.clients(), 500);
+  EXPECT_EQ(core.live_stats().admitted, 500);
 }
 
-TEST(Server, BoundaryArrivalJoinsStartingStream) {
-  DelayGuaranteedServer server(100, 0.01);
-  const ClientTicket ticket = server.admit(0.05);  // exactly slot 4's end
-  EXPECT_EQ(ticket.slot, 4);
+TEST(DgServing, BoundaryArrivalJoinsStartingStream) {
+  DelayGuaranteedPolicy policy;
+  server::ServerCoreConfig config;
+  config.delay = 0.01;
+  server::ServerCore core(config, policy);
+  const server::Ticket ticket = core.admit(0, 0.05);  // exactly slot 4's end
+  EXPECT_EQ(dg_slot_of(0.05, 0.01), 4);
   EXPECT_NEAR(ticket.wait, 0.0, 1e-9);
 }
 
-TEST(Server, ProgramsComeFromTheTable) {
-  DelayGuaranteedServer server(15, 1.0);
-  const ClientTicket ticket = server.admit(6.5);  // slot 6, position 6
-  EXPECT_EQ(ticket.slot, 6);
-  EXPECT_EQ(ticket.program, 6);
-  EXPECT_EQ(server.programs().lookup(ticket.program).blocks,
-            server.programs().lookup(6).blocks);
-}
-
-TEST(Server, CostMatchesPolicy) {
-  DelayGuaranteedServer server(15, 0.25);
-  EXPECT_EQ(server.transmitted_units(16), server.policy().cost(16));
-  EXPECT_EQ(server.transmitted_units(0), 0);
-}
-
-TEST(Server, RejectsOutOfOrderArrivals) {
-  DelayGuaranteedServer server(15, 1.0);
-  server.admit(5.0);
-  EXPECT_THROW(server.admit(4.0), std::invalid_argument);
-  EXPECT_THROW(server.admit(-1.0), std::invalid_argument);
-  EXPECT_THROW(DelayGuaranteedServer(15, 0.0), std::invalid_argument);
-}
-
-TEST(Server, ServedProgramsPlayBackCorrectly) {
-  // End to end: admit clients over three blocks, then verify each issued
-  // program against the actual transmission schedule.
+TEST(DgServing, ServedProgramsPlayBackCorrectly) {
+  // End to end: admit clients over three blocks, then verify each
+  // client's table program against the actual transmission schedule.
   const Index L = 15;
-  DelayGuaranteedServer server(L, 1.0);
+  DelayGuaranteedPolicy policy;
+  server::ServerCoreConfig config;
+  config.delay = 1.0 / static_cast<double>(L);
+  server::ServerCore core(config, policy);
+  const DelayGuaranteedOnline dg(L);
+  const ProgramTable table(dg);
   const Index horizon = 20;
-  std::vector<ClientTicket> tickets;
-  for (double t = 0.4; t < static_cast<double>(horizon); t += 1.7) {
-    tickets.push_back(server.admit(t));
-  }
-  const MergeForest forest = server.policy().forest(horizon);
+  const MergeForest forest = dg.forest(horizon);
   const StreamSchedule schedule(forest);
-  for (const ClientTicket& ticket : tickets) {
-    const ReceivingProgram fresh(forest, ticket.slot);
+  for (double t = 0.4; t < static_cast<double>(horizon); t += 1.7) {
+    const server::Ticket ticket = core.admit(0, t * config.delay);
+    const Index slot = dg_slot_of(ticket.arrival, config.delay);
+    EXPECT_NEAR(ticket.playback_start, static_cast<double>(slot + 1) * config.delay,
+                1e-12);
+    const ReceivingProgram fresh(forest, slot);
+    EXPECT_EQ(table.program_at(slot), fresh.receptions()) << "slot=" << slot;
     const ClientReport report = verify_client(schedule, fresh, Model::kReceiveTwo);
     EXPECT_TRUE(report.ok) << report.error;
   }

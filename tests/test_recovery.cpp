@@ -322,25 +322,42 @@ TEST(Recovery, CorruptedCheckpointDetectedAndFallsBack) {
         << "byte " << at;
   }
 
-  // recover() skips the damaged candidate, restores the older one, and
-  // still lands bit-identical after replaying the longer WAL tail.
+  // A stale checkpoint: an intact frame under the previous schema name
+  // (whose layout differs) is refused before a payload byte is read.
+  util::SnapshotReader current = util::SnapshotReader::open(
+      {newest_frame.data(), newest_frame.size()}, "smerge-ckpt-v2");
+  util::SnapshotWriter resealed;
+  resealed.raw(current.raw(current.remaining()));
+  const std::vector<std::uint8_t> stale = resealed.frame("smerge-ckpt-v1");
+  GreedyMergePolicy stale_policy(merging::DyadicParams{}, /*batched=*/true);
+  server::ServerCore stale_core(run.config, stale_policy);
+  EXPECT_THROW((void)stale_core.restore_state({stale.data(), stale.size()}),
+               util::SnapshotError);
+
+  // recover() skips a damaged or stale candidate, restores the older
+  // one, and still lands bit-identical after replaying the longer WAL
+  // tail.
   std::vector<std::uint8_t> corrupt = newest_frame;
   corrupt[corrupt.size() / 2] ^= 0x40;
   std::vector<std::uint8_t> durable = run.wal.bytes();
-  GreedyMergePolicy policy(merging::DyadicParams{}, /*batched=*/true);
-  server::RecoveredCore recovered = server::recover(
-      run.config, &policy,
-      std::vector<std::vector<std::uint8_t>>{corrupt, older_frame},
-      {durable.data(), durable.size()});
-  EXPECT_TRUE(recovered.report.used_checkpoint);
-  EXPECT_EQ(recovered.report.checkpoint_index, 1u);
-  ASSERT_EQ(recovered.report.rejected_checkpoints.size(), 1u);
-  EXPECT_EQ(recovered.report.wal_records_replayed,
-            run.wal.records() - older_cursor);
+  for (const auto& [bad, what] :
+       {std::pair{corrupt, "fallback"}, std::pair{stale, "stale fallback"}}) {
+    GreedyMergePolicy policy(merging::DyadicParams{}, /*batched=*/true);
+    server::RecoveredCore recovered = server::recover(
+        run.config, &policy,
+        std::vector<std::vector<std::uint8_t>>{bad, older_frame},
+        {durable.data(), durable.size()});
+    EXPECT_TRUE(recovered.report.used_checkpoint) << what;
+    EXPECT_EQ(recovered.report.checkpoint_index, 1u) << what;
+    ASSERT_EQ(recovered.report.rejected_checkpoints.size(), 1u) << what;
+    EXPECT_EQ(recovered.report.wal_records_replayed,
+              run.wal.records() - older_cursor)
+        << what;
+    recovered.core->finish();
+    expect_same_snapshot(recovered.core->take_snapshot(), run.uninterrupted,
+                         what);
+  }
   (void)newest_cursor;
-  recovered.core->finish();
-  expect_same_snapshot(recovered.core->take_snapshot(), run.uninterrupted,
-                       "fallback");
 }
 
 TEST(Recovery, SlottedAdmitKillPointsUnderCapacityBitIdentical) {
@@ -660,6 +677,22 @@ TEST(Recovery, WalPrefixesParseToCompleteRecordsOnly) {
   EXPECT_TRUE(damaged.torn);
   EXPECT_TRUE(damaged.records.empty());
 
+  // Tag 1 (the retired single-arrival record, kAdmit's body layout) is
+  // unknown: a well-framed, checksummed record of it ends the parse.
+  server::AdmissionWal one;
+  one.log_admit(0, 0.5);
+  std::vector<std::uint8_t> tag1(one.bytes().begin() + 16, one.bytes().end());
+  tag1[12] = 1;
+  const std::uint64_t sum = util::fnv1a64({tag1.data() + 12, tag1.size() - 12});
+  for (int i = 0; i < 8; ++i) tag1[4 + i] = static_cast<std::uint8_t>(sum >> (8 * i));
+  std::vector<std::uint8_t> with_tag1 = bytes;
+  with_tag1.insert(with_tag1.end(), tag1.begin(), tag1.end());
+  const server::WalReadResult retired =
+      server::read_wal({with_tag1.data(), with_tag1.size()});
+  EXPECT_EQ(retired.records.size(), 3u);
+  EXPECT_TRUE(retired.torn);
+  EXPECT_EQ(retired.dropped_bytes, tag1.size());
+
   // Round-trip fidelity of the parsed records themselves.
   const server::WalReadResult parsed =
       server::read_wal({bytes.data(), bytes.size()});
@@ -833,14 +866,14 @@ TEST(Recovery, RestoreRefusesUsedCoresAndForeignConfigs) {
   config.horizon = 4.0;
   GreedyMergePolicy policy(merging::DyadicParams{}, /*batched=*/true);
   server::ServerCore core(config, policy);
-  core.ingest(0, 0.5);
+  core.ingest_trace(0, {0.5});
   core.drain();
   const std::vector<std::uint8_t> frame = core.checkpoint(3);
 
   // A core that already served traffic refuses to be overwritten.
   GreedyMergePolicy used_policy(merging::DyadicParams{}, /*batched=*/true);
   server::ServerCore used(config, used_policy);
-  used.ingest(0, 0.25);
+  used.ingest_trace(0, {0.25});
   EXPECT_THROW((void)used.restore_state({frame.data(), frame.size()}),
                std::logic_error);
 
@@ -858,8 +891,8 @@ TEST(Recovery, RestoreRefusesUsedCoresAndForeignConfigs) {
   const server::RestoreInfo info =
       fresh.restore_state({frame.data(), frame.size()});
   EXPECT_EQ(info.wal_records, 3u);
-  core.ingest(1, 1.5);
-  fresh.ingest(1, 1.5);
+  core.ingest_trace(1, {1.5});
+  fresh.ingest_trace(1, {1.5});
   core.finish();
   fresh.finish();
   expect_same_snapshot(fresh.take_snapshot(), core.take_snapshot(),

@@ -1,18 +1,18 @@
 // Tests for the live serving runtime: the incremental channel ledger
 // against the legacy end-of-run reduction, mid-run queries (running P²
 // percentiles vs exact sorted quantiles), capacity-aware admission
-// semantics, and the engine/DG-server adapters' equivalence.
+// semantics, the engine adapter's equivalence, and argument validation.
 #include "server/server_core.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "online/server.h"
 #include "server/channel_ledger.h"
 #include "sim/engine.h"
 #include "util/rng.h"
@@ -489,33 +489,6 @@ TEST(ServerCore, ObserveModeCountsInsteadOfRejecting) {
   EXPECT_EQ(snap.guarantee_violations, 0);
 }
 
-TEST(ServerCore, SlottedDgMatchesDelayGuaranteedServer) {
-  // The adapter and a hand-driven slotted-DG core agree on every ticket
-  // and on the live ledger peak.
-  DelayGuaranteedServer server(15, 1.0);
-  ServerCoreConfig config;
-  config.objects = 1;
-  config.delay = 1.0;
-  config.horizon = 0.0;
-  config.serve = ServeMode::kSlottedDg;
-  config.dg_media_slots = 15;
-  ServerCore core(config);
-  for (double t = 0.3; t < 40.0; t += 1.3) {
-    const ClientTicket a = server.admit(t);
-    const Ticket b = core.admit(0, t);
-    EXPECT_EQ(a.slot, b.slot);
-    EXPECT_EQ(a.program, b.program);
-    EXPECT_DOUBLE_EQ(a.playback_start, b.playback_start);
-    EXPECT_DOUBLE_EQ(a.wait, b.wait);
-  }
-  EXPECT_EQ(server.clients(), core.object_clients(0));
-  EXPECT_EQ(server.last_slot(), core.object_last_slot(0));
-  EXPECT_EQ(server.peak_channels(), core.peak_channels());
-  EXPECT_GT(server.peak_channels(), 0);
-  // The DG schedule's cost query stays the closed form.
-  EXPECT_EQ(server.transmitted_units(30), server.policy().cost(30));
-}
-
 // --- Admission preview: one home for the slot arithmetic -------------------
 
 /// Arrival times probing every slot-boundary case: 0, exact boundaries,
@@ -580,21 +553,27 @@ TEST(ServerCore, PreviewLeavesGreedyToTheDrain) {
   }
 }
 
+/// Arrival times no ingest entry point may accept.
+std::vector<double> bad_times() {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  return {-1.0, std::numeric_limits<double>::quiet_NaN(), kInf, -kInf};
+}
+
 TEST(ServerCore, PreviewRejectsSlottedCores) {
-  for (const ServeMode serve :
-       {ServeMode::kSlottedDg, ServeMode::kSlottedBatching}) {
-    ServerCoreConfig config;
-    config.delay = 0.25;
-    config.serve = serve;
-    ServerCore core(config);
-    EXPECT_THROW((void)core.preview_admission(0, 0.0), std::invalid_argument);
-    EXPECT_THROW((void)core.preview_admission(0, 0.25 + 1e-14),
-                 std::invalid_argument);
-  }
+  ServerCoreConfig config;
+  config.delay = 0.25;
+  config.serve = ServeMode::kSlottedBatching;
+  ServerCore core(config);
+  EXPECT_THROW((void)core.preview_admission(0, 0.0), std::invalid_argument);
+  EXPECT_THROW((void)core.preview_admission(0, 0.25 + 1e-14),
+               std::invalid_argument);
   BatchingPolicy policy;
   ServerCore generic(ServerCoreConfig{}, policy);
   EXPECT_THROW((void)generic.preview_admission(1, 0.0), std::out_of_range);
-  EXPECT_THROW((void)generic.preview_admission(0, -1.0), std::invalid_argument);
+  for (const double t : bad_times()) {
+    EXPECT_THROW((void)generic.preview_admission(0, t), std::invalid_argument)
+        << "t=" << t;
+  }
 }
 
 TEST(ServerCore, Validation) {
@@ -615,16 +594,30 @@ TEST(ServerCore, Validation) {
   config.channel_capacity = 4;
   ServerCore ok{config};
   EXPECT_THROW((void)ok.admit(-1, 0.5), std::out_of_range);
-  EXPECT_THROW((void)ok.admit(0, -0.5), std::invalid_argument);
+  for (const double t : bad_times()) {
+    EXPECT_THROW((void)ok.admit(0, t), std::invalid_argument) << "t=" << t;
+  }
   (void)ok.admit(0, 1.0);
   EXPECT_THROW((void)ok.admit(0, 0.5), std::invalid_argument);  // unsorted
-  EXPECT_THROW(ok.ingest(0, 2.0), std::invalid_argument);  // slotted mode
+  EXPECT_THROW(ok.ingest_trace(0, {2.0}), std::invalid_argument);  // slotted
   ok.finish();
   EXPECT_THROW((void)ok.admit(0, 2.0), std::logic_error);
   config = ServerCoreConfig{};
+  config.objects = 2;
   ServerCore generic(config, policy);
   EXPECT_THROW((void)generic.take_snapshot(), std::logic_error);
-  EXPECT_THROW((void)generic.dg_policy(), std::logic_error);
+  for (const double t : bad_times()) {
+    EXPECT_THROW(generic.ingest_trace(0, {0.5, t}), std::invalid_argument)
+        << "t=" << t;
+    EXPECT_THROW((void)generic.admit(1, t), std::invalid_argument) << "t=" << t;
+  }
+  config.enable_sessions = true;
+  ServerCore sessions(config, policy);
+  for (const double t : bad_times()) {
+    EXPECT_THROW(sessions.ingest_session_trace(0, {SessionTrace{t, {}}}),
+                 std::invalid_argument)
+        << "t=" << t;
+  }
 }
 
 }  // namespace

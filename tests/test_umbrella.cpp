@@ -19,13 +19,19 @@ TEST(Umbrella, EndToEndPipeline) {
   EXPECT_EQ(max_buffer_requirement(forest), 7);
   EXPECT_NE(concrete_diagram(forest).find("A (t=0):"), std::string::npos);
 
-  // On-line: server issues table programs (stable indices) with
-  // bounded waits.
-  DelayGuaranteedServer server(15, 1.0);
-  const ClientTicket ticket = server.admit(6.25);
-  EXPECT_LE(ticket.wait, 1.0);
-  EXPECT_EQ(ticket.program, 6);
-  EXPECT_FALSE(server.programs().lookup(ticket.program).blocks.empty());
+  // On-line: the core serves Delay Guaranteed with a bounded wait; the
+  // client's program is an O(1) table lookup by slot.
+  server::ServerCoreConfig core_config;
+  core_config.delay = 1.0 / 15.0;
+  DelayGuaranteedPolicy online_dg;
+  server::ServerCore core(core_config, online_dg);
+  const server::Ticket ticket = core.admit(0, 6.25 / 15.0);
+  EXPECT_LE(ticket.wait, core_config.delay);
+  const ProgramTable programs{DelayGuaranteedOnline(15)};
+  const Index position =
+      dg_slot_of(ticket.arrival, core_config.delay) % programs.block_size();
+  EXPECT_EQ(position, 6);
+  EXPECT_FALSE(programs.lookup(position).blocks.empty());
 
   // General arrivals: dyadic vs the off-line optimum, continuously
   // verified.
@@ -34,7 +40,7 @@ TEST(Umbrella, EndToEndPipeline) {
   for (const double t : arrivals) dyadic.arrive(t);
   const double opt = merging::optimal_general_cost(arrivals, 1.0);
   EXPECT_LE(opt, dyadic.total_cost() + 1e-9);
-  EXPECT_TRUE(merging::verify_continuous_forest(dyadic.forest()).ok);
+  EXPECT_TRUE(plan::verify(dyadic.forest().to_plan(), Model::kReceiveTwo).ok);
 
   // Simulation + utilities.
   const sim::BandwidthResult dg = sim::run_delay_guaranteed(0.05, 10.0);
