@@ -6,21 +6,6 @@ namespace smerge::plan {
 
 namespace {
 
-// Per-stream payload: start + delay + length (f64) + parent (i64).
-constexpr std::size_t kStreamBytes = 4 * 8;
-
-[[nodiscard]] Model decode_model(std::uint8_t tag) {
-  switch (tag) {
-    case 0:
-      return Model::kReceiveTwo;
-    case 1:
-      return Model::kReceiveAll;
-    default:
-      throw util::SnapshotError("plan_io: bad model tag " +
-                                std::to_string(tag));
-  }
-}
-
 [[nodiscard]] SessionEventType decode_event_type(std::uint8_t tag) {
   switch (tag) {
     case 0:
@@ -36,101 +21,6 @@ constexpr std::size_t kStreamBytes = 4 * 8;
 }
 
 }  // namespace
-
-void save_plan(util::SnapshotWriter& w, const MergePlan& plan) {
-  w.f64(plan.media_length());
-  w.u8(plan.model() == Model::kReceiveTwo ? 0 : 1);
-  const ChunkingConfig& chunking = plan.chunking();
-  w.f64(chunking.base);
-  w.f64(chunking.growth);
-  w.f64(chunking.cap);
-  w.i64(chunking.min_start_chunks);
-  w.u64(static_cast<std::uint64_t>(plan.size()));
-  const auto start = plan.start();
-  const auto delay = plan.delay();
-  const auto length = plan.length();
-  const auto parent = plan.parent();
-  for (Index i = 0; i < plan.size(); ++i) {
-    const auto u = static_cast<std::size_t>(i);
-    w.f64(start[u]);
-    w.f64(delay[u]);
-    w.f64(length[u]);
-    w.i64(parent[u]);
-  }
-}
-
-MergePlan load_plan(util::SnapshotReader& r) {
-  const double media_length = r.f64();
-  const Model model = decode_model(r.u8());
-  ChunkingConfig chunking;
-  chunking.base = r.f64();
-  chunking.growth = r.f64();
-  chunking.cap = r.f64();
-  chunking.min_start_chunks = r.i64();
-  const std::uint64_t n = r.u64();
-  if (n > r.remaining() / kStreamBytes) {
-    throw util::SnapshotError("plan_io: stream count exceeds remaining bytes");
-  }
-  PlanBuilder builder(media_length, model);
-  if (chunking.enabled()) builder.set_chunking(chunking);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const double start = r.f64();
-    const double delay = r.f64();
-    const double length = r.f64();
-    const Index parent = r.i64();
-    const Index id = builder.add_stream(start, parent, length);
-    if (delay != 0.0) builder.record_wait(id, delay);
-  }
-  return builder.build();
-}
-
-void save_edits(util::SnapshotWriter& w, std::span<const StreamEdit> edits) {
-  w.u64(edits.size());
-  for (const StreamEdit& e : edits) {
-    w.i64(e.stream);
-    w.f64(e.old_end);
-    w.f64(e.new_end);
-    w.boolean(e.reroot);
-  }
-}
-
-std::vector<StreamEdit> load_edits(util::SnapshotReader& r) {
-  const std::uint64_t n = r.u64();
-  // stream + old_end + new_end + reroot byte.
-  if (n > r.remaining() / 25) {
-    throw util::SnapshotError("plan_io: edit count exceeds remaining bytes");
-  }
-  std::vector<StreamEdit> edits(static_cast<std::size_t>(n));
-  for (StreamEdit& e : edits) {
-    e.stream = r.i64();
-    e.old_end = r.f64();
-    e.new_end = r.f64();
-    e.reroot = r.boolean();
-  }
-  return edits;
-}
-
-void save_repair_stats(util::SnapshotWriter& w, const RepairStats& stats) {
-  w.i64(stats.abandons);
-  w.i64(stats.seeks);
-  w.i64(stats.reroots);
-  w.i64(stats.truncations);
-  w.i64(stats.extensions);
-  w.f64(stats.retracted);
-  w.f64(stats.extended);
-}
-
-RepairStats load_repair_stats(util::SnapshotReader& r) {
-  RepairStats stats;
-  stats.abandons = r.i64();
-  stats.seeks = r.i64();
-  stats.reroots = r.i64();
-  stats.truncations = r.i64();
-  stats.extensions = r.i64();
-  stats.retracted = r.f64();
-  stats.extended = r.f64();
-  return stats;
-}
 
 void save_session_trace(util::SnapshotWriter& w, const SessionTrace& trace) {
   w.f64(trace.arrival);

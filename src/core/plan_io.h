@@ -1,45 +1,17 @@
-// Binary codecs for the plan-layer state a server checkpoint carries:
-// MergePlan (rebuilt through PlanBuilder, so a loaded plan's derived
-// merge times are bit-identical to the saved one's), StreamEdit repair
-// logs, RepairStats tallies, and SessionTrace event lists. These are
-// payload codecs — they append to / read from an open SnapshotWriter /
-// SnapshotReader and leave framing (schema, checksum) to the caller.
+// Binary codecs for the session traces a server checkpoint and the
+// admission WAL carry. These are payload codecs — they append to / read
+// from an open SnapshotWriter / SnapshotReader and leave framing
+// (schema, checksum) to the caller.
 #ifndef SMERGE_CORE_PLAN_IO_H
 #define SMERGE_CORE_PLAN_IO_H
 
+#include <span>
 #include <vector>
 
-#include "core/plan.h"
-#include "core/plan_repair.h"
 #include "core/session.h"
 #include "util/snapshot.h"
 
 namespace smerge::plan {
-
-/// Appends `plan` (media length, model, chunking, and the per-stream
-/// start/delay/length/parent arrays) to `w`. Derived fields (merge
-/// times, CSR children) are not stored: `load_plan` re-derives them
-/// through PlanBuilder, which produces bit-identical values (the same
-/// property SessionPlan::snapshot relies on).
-void save_plan(util::SnapshotWriter& w, const MergePlan& plan);
-
-/// Reads a plan written by `save_plan`. Throws util::SnapshotError on
-/// malformed input (bad model tag, negative count, truncation) and
-/// std::invalid_argument when the stored arrays violate PlanBuilder's
-/// ordering invariants.
-[[nodiscard]] MergePlan load_plan(util::SnapshotReader& r);
-
-/// Appends the edit log (count + per-edit fields).
-void save_edits(util::SnapshotWriter& w, std::span<const StreamEdit> edits);
-
-/// Reads an edit log written by `save_edits`.
-[[nodiscard]] std::vector<StreamEdit> load_edits(util::SnapshotReader& r);
-
-/// Appends repair tallies.
-void save_repair_stats(util::SnapshotWriter& w, const RepairStats& stats);
-
-/// Reads repair tallies written by `save_repair_stats`.
-[[nodiscard]] RepairStats load_repair_stats(util::SnapshotReader& r);
 
 /// Appends one session trace (arrival + position-ordered events).
 void save_session_trace(util::SnapshotWriter& w, const SessionTrace& trace);

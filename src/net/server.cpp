@@ -5,7 +5,6 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -444,10 +443,11 @@ void NetServer::handle_frame(Reactor& r, Connection& c, const Frame& frame) {
       if (admit.object < 0 || admit.object >= core_.config().objects) {
         throw ProtocolError("net: ADMIT object out of range");
       }
-      // ServerCore::post throws on a non-finite time, which a reactor
-      // must not do; as a protocol error it closes only this connection.
-      if (!std::isfinite(admit.time) || admit.time < 0.0) {
-        throw ProtocolError("net: ADMIT time must be finite and nonnegative");
+      // ServerCore::post throws on a time outside [0, horizon] (NaN and
+      // infinities included), which a reactor must not do; as a protocol
+      // error it closes only this connection.
+      if (!(admit.time >= 0.0 && admit.time <= core_.config().horizon)) {
+        throw ProtocolError("net: ADMIT time must lie in [0, horizon]");
       }
       // The wire contract: one connection's ADMIT times are
       // nondecreasing (which implies the core's per-object contract as

@@ -48,9 +48,14 @@ struct PostedArrival {
   std::uint64_t seq = 0;
 };
 
-/// The arrival-time test of every ingest entry point. A non-finite time
-/// would reach the slot arithmetic as an out-of-range integer cast.
-bool valid_time(double t) noexcept { return t >= 0.0 && std::isfinite(t); }
+/// The arrival-time test of every ingest entry point: `0 <= t <=
+/// horizon`, which also refuses NaN and infinities. The ledger caps the
+/// horizon at 1e8 slots, so `t / delay` never overflows the slot
+/// arithmetic's integer cast, and no admission is promised a stream
+/// the horizon flush will not air.
+bool valid_time(double t, double horizon) noexcept {
+  return t >= 0.0 && t <= horizon;
+}
 
 bool posted_less(const PostedArrival& a, const PostedArrival& b) noexcept {
   if (a.time != b.time) return a.time < b.time;
@@ -78,14 +83,13 @@ Ticket policy_ticket(Index object, double time, double playback) {
 /// plan assembly) are the legacy engine ShardSink's, verbatim — that is
 /// what keeps the refactored engine bit-identical.
 struct ServerCore::ObjectState final : PolicySink {
-  ObjectState(Index id_, double delay_, bool collect_intervals_, bool collect_plan_,
+  ObjectState(Index id_, double delay_, bool collect_plan_,
               const plan::ChunkingConfig& chunking_)
-      : id(id_),
-        delay(delay_),
-        collect_intervals(collect_intervals_),
-        collect_plan(collect_plan_),
-        chunking(chunking_) {}
+      : id(id_), delay(delay_), collect_plan(collect_plan_), chunking(chunking_) {}
 
+  /// Records the stream's (start, length, parent) triple — the one record
+  /// of a stream. The ledger run (flush_object), the object's own peak
+  /// and the collected intervals (finish) are all derived from it.
   void start_stream(double start, double duration, Index parent) override {
     if (start < 0.0 || !(duration >= 0.0)) {
       throw std::invalid_argument(
@@ -97,16 +101,9 @@ struct ServerCore::ObjectState final : PolicySink {
     }
     ++outcome.streams;
     outcome.cost += duration;
-    // The +1/-1 pair stays adjacent: the incremental ledger flush walks
-    // the vector two events at a time.
-    events.push_back({start, +1});
-    events.push_back({start + duration, -1});
-    if (collect_intervals) intervals.push_back({start, start + duration});
-    if (collect_plan) {
-      stream_starts.push_back(start);
-      stream_durations.push_back(duration);
-      stream_parents.push_back(parent);
-    }
+    stream_starts.push_back(start);
+    stream_durations.push_back(duration);
+    stream_parents.push_back(parent);
   }
 
   void admit(double arrival, double playback_start) override {
@@ -121,7 +118,6 @@ struct ServerCore::ObjectState final : PolicySink {
     const double new_duration = new_end - stream_starts[u];
     outcome.cost += new_duration - stream_durations[u];
     stream_durations[u] = new_duration;
-    if (collect_intervals) intervals[u].end = new_end;
   }
 
   /// Records one admission; the guarantee is measured from `basis`
@@ -174,28 +170,27 @@ struct ServerCore::ObjectState final : PolicySink {
 
   const Index id;
   const double delay;
-  const bool collect_intervals;
   const bool collect_plan;
   const plan::ChunkingConfig chunking;
 
   std::unique_ptr<ObjectPolicy> policy;  ///< generic path only
 
-  // Recorder (the legacy ShardSink fields).
+  // Recorder (the legacy ShardSink fields). The stream table holds every
+  // stream in emission order (the policies emit in start order).
   ObjectOutcome outcome;
-  std::vector<ChannelEvent> events;  ///< emission order until finalized
-  std::vector<StreamInterval> intervals;
   std::vector<double> waits;  ///< in admission order
   double wait_sum = 0.0;
-  std::vector<double> stream_starts;     ///< collect_plans only
-  std::vector<double> stream_durations;  ///< collect_plans only
-  std::vector<Index> stream_parents;     ///< collect_plans only
-  std::vector<std::pair<double, double>> admissions;  ///< (playback, wait)
-  plan::MergePlan plan;
+  std::vector<double> stream_starts;
+  std::vector<double> stream_durations;
+  std::vector<Index> stream_parents;
+  std::vector<std::pair<double, double>> admissions;  ///< (playback, wait);
+                                                      ///< collect_plan only
+  plan::MergePlan plan;  ///< assembled by finish()
 
   // Mailbox + incremental-fold cursors.
   std::vector<double> pending;     ///< time-ordered, unprocessed arrivals
   std::vector<PostedArrival> posted_batch;  ///< this drain's post() claims
-  std::size_t flushed_events = 0;  ///< events already in the global ledger
+  std::size_t flushed_streams = 0; ///< streams already in the global ledger
   std::size_t flushed_waits = 0;   ///< waits already in the P2 trackers
   bool dirty = false;              ///< queued in its shard's dirty list
 
@@ -211,12 +206,10 @@ struct ServerCore::ObjectState final : PolicySink {
   };
   std::vector<SessionTrace> sessions;     ///< arrival order
   std::size_t resolved_sessions = 0;      ///< prefix already wall-resolved
-  std::vector<double> session_playbacks;  ///< nondecreasing (admission order)
   std::vector<double> session_ends;       ///< wall time each session stops
   bool session_ends_sorted = true;
   std::vector<PlanEvent> plan_events;     ///< abandons + seeks, resolution order
   std::vector<plan::StreamEdit> session_edits;  ///< finish()-time repair feed
-  plan::RepairStats repair;
 
   // Serving state.
   double last_time = 0.0;     ///< monotonicity guard (ingest + admit)
@@ -260,7 +253,6 @@ struct ServerCore::Impl {
 
   // Running counters (updated in deterministic fold order).
   Index arrivals = 0;
-  Index admitted = 0;
   Index rejected = 0;
   Index deferrals = 0;
   Index degraded = 0;
@@ -274,7 +266,7 @@ struct ServerCore::Impl {
   util::P2Quantile p99{0.99};
   double wait_sum = 0.0;
   double wait_max = 0.0;
-  Index wait_count = 0;
+  Index wait_count = 0;  ///< admissions folded so far
 
   /// A policy instance of the catalogue's family that is never fed
   /// arrivals (generic path only): preview_admission asks it for the
@@ -304,9 +296,6 @@ void ServerCore::validate() const {
   }
   if (config_.max_defer_slots < 0) {
     throw std::invalid_argument("ServerCore: max_defer_slots must be >= 0");
-  }
-  if (!(config_.ledger_bucket >= 0.0)) {
-    throw std::invalid_argument("ServerCore: ledger_bucket must be >= 0");
   }
   if (config_.mailbox_capacity < 0) {
     throw std::invalid_argument("ServerCore: mailbox_capacity must be >= 0");
@@ -350,26 +339,22 @@ ServerCore::ServerCore(const ServerCoreConfig& config) : config_(config) {
 }
 
 void ServerCore::build_objects(OnlinePolicy* policy) {
-  const double bucket =
-      config_.ledger_bucket > 0.0 ? config_.ledger_bucket : config_.delay;
-  // Streams can outlive the horizon by up to one media length plus the
-  // defer slack; later times clamp into the ledger's final bucket,
-  // which stays exact (only slower to scan). Open-ended cores
-  // (horizon 0) get a 32-media floor so live queries keep their
-  // bucketed complexity over a realistic served window instead of
-  // piling everything into one overflow bucket.
+  // Ledger buckets are one slot wide. Streams can outlive the horizon by
+  // up to one media length plus the defer slack; later times clamp into
+  // the ledger's final bucket, which stays exact (only slower to scan).
+  // The span never drops below 32 media lengths.
   const double span =
       std::max(32.0, config_.horizon + 1.0) +
       config_.delay * static_cast<double>(config_.max_defer_slots + 2);
-  impl_ = std::make_unique<Impl>(span, bucket);
+  impl_ = std::make_unique<Impl>(span, config_.delay);
 
   impl_->objects.reserve(index_of(config_.objects));
   for (Index m = 0; m < config_.objects; ++m) {
-    // Sessions need the stream/admission record to resolve events and
-    // repair plans, whether or not plans are exported to the snapshot.
+    // Sessions need the admission record to resolve events and repair
+    // plans, whether or not plans are exported to the snapshot.
     auto state = std::make_unique<ObjectState>(
-        m, config_.delay, config_.collect_stream_intervals,
-        config_.collect_plans || config_.enable_sessions, config_.chunking);
+        m, config_.delay, config_.collect_plans || config_.enable_sessions,
+        config_.chunking);
     if (policy != nullptr) {
       state->policy = policy->make_object_policy(config_.delay, config_.horizon);
     }
@@ -400,15 +385,17 @@ void ServerCore::build_objects(OnlinePolicy* policy) {
 
 void ServerCore::flush_object(Index m) {
   ObjectState& state = *impl_->objects[index_of(m)];
-  // Stage the object's whole ±1 run and hand it to the ledger in one
-  // apply_batch — one segment-tree path per touched bucket instead of
-  // one per event. The cost accumulation stays per-pair inside the loop
-  // so the float fold order (and thus every snapshot byte) is unchanged.
+  // Stage the ±1 run of the object's new streams and hand it to the
+  // ledger in one apply_batch — one segment-tree path per touched bucket
+  // instead of one per event. The cost accumulation stays per-stream
+  // inside the loop so the float fold order (and thus every snapshot
+  // byte) is unchanged.
   std::vector<LedgerEvent>& batch = impl_->ledger_batch;
   batch.clear();
-  for (std::size_t i = state.flushed_events; i + 1 < state.events.size(); i += 2) {
-    const double start = state.events[i].time;
-    const double end = state.events[i + 1].time;
+  const std::size_t streams = state.stream_starts.size();
+  for (std::size_t i = state.flushed_streams; i < streams; ++i) {
+    const double start = state.stream_starts[i];
+    const double end = start + state.stream_durations[i];
     if (!(start >= 0.0) || !(end >= start)) {
       throw std::invalid_argument("ChannelLedger: bad interval");
     }
@@ -418,7 +405,7 @@ void ServerCore::flush_object(Index m) {
     ++impl_->streams;
   }
   impl_->ledger.apply_batch(batch);
-  state.flushed_events = state.events.size();
+  state.flushed_streams = streams;
   for (std::size_t i = state.flushed_waits; i < state.waits.size(); ++i) {
     const double w = state.waits[i];
     impl_->p50.add(w);
@@ -427,7 +414,6 @@ void ServerCore::flush_object(Index m) {
     impl_->wait_sum += w;
     if (w > impl_->wait_max) impl_->wait_max = w;
     ++impl_->wait_count;
-    ++impl_->admitted;
   }
   state.flushed_waits = state.waits.size();
   state.dirty = false;
@@ -495,7 +481,6 @@ void ServerCore::resolve_sessions(ObjectState& state) {
       }
       if (departed) break;
     }
-    state.session_playbacks.push_back(playback);
     state.session_ends.push_back(departed ? wall : wall + (1.0 - pos));
     state.session_ends_sorted = false;
   }
@@ -537,17 +522,17 @@ void ServerCore::repair_object_plan(ObjectState& state) {
       session_plan.abandon(s, event.wall);
     }
   }
-  state.repair = session_plan.stats();
+  const plan::RepairStats repair = session_plan.stats();
   state.session_edits.assign(session_plan.edits().begin(),
                              session_plan.edits().end());
   for (const plan::StreamEdit& edit : state.session_edits) {
     state.retract_stream(edit.stream, edit.new_end);
   }
   state.plan = session_plan.snapshot();
-  state.outcome.plan_truncations += state.repair.truncations;
-  state.outcome.plan_reroots += state.repair.reroots;
-  state.outcome.retracted_cost += state.repair.retracted;
-  state.outcome.extended_cost += state.repair.extended;
+  state.outcome.plan_truncations += repair.truncations;
+  state.outcome.plan_reroots += repair.reroots;
+  state.outcome.retracted_cost += repair.retracted;
+  state.outcome.extended_cost += repair.extended;
 }
 
 // --- Ingest -----------------------------------------------------------------
@@ -572,10 +557,10 @@ void ServerCore::ingest_trace(Index object, std::vector<double> times) {
   const auto count = static_cast<Index>(times.size());
   double last = state.last_time;
   for (const double t : times) {
-    if (!valid_time(t) || t < last) {
+    if (!valid_time(t, config_.horizon) || t < last) {
       throw std::invalid_argument(
-          "ServerCore::ingest_trace: arrivals must be finite and "
-          "nondecreasing per object");
+          "ServerCore::ingest_trace: arrivals must lie in [0, horizon] and "
+          "be nondecreasing per object");
     }
     last = t;
   }
@@ -608,9 +593,9 @@ void ServerCore::post(Index object, double time) {
   if (object < 0 || object >= config_.objects) {
     throw std::out_of_range("ServerCore::post: object out of range");
   }
-  if (!valid_time(time)) {
+  if (!valid_time(time, config_.horizon)) {
     throw std::invalid_argument(
-        "ServerCore::post: arrival time must be finite and nonnegative");
+        "ServerCore::post: arrival time must lie in [0, horizon]");
   }
   Impl::ShardMailbox& mb =
       *impl_->mailboxes[index_of(object) % config_.shards];
@@ -711,10 +696,10 @@ void ServerCore::ingest_session_trace(Index object,
   ObjectState& state = *impl_->objects[index_of(object)];
   double last = state.last_time;
   for (const SessionTrace& session : sessions) {
-    if (!valid_time(session.arrival) || session.arrival < last) {
+    if (!valid_time(session.arrival, config_.horizon) || session.arrival < last) {
       throw std::invalid_argument(
-          "ServerCore::ingest_session_trace: arrivals must be finite and "
-          "nondecreasing per object");
+          "ServerCore::ingest_session_trace: arrivals must lie in "
+          "[0, horizon] and be nondecreasing per object");
     }
     last = session.arrival;
   }
@@ -793,9 +778,9 @@ Ticket ServerCore::admit(Index object, double time) {
   if (object < 0 || object >= config_.objects) {
     throw std::out_of_range("ServerCore::admit: object out of range");
   }
-  if (!valid_time(time)) {
+  if (!valid_time(time, config_.horizon)) {
     throw std::invalid_argument(
-        "ServerCore::admit: arrival time must be finite and nonnegative");
+        "ServerCore::admit: arrival time must lie in [0, horizon]");
   }
   if (config_.enable_sessions) {
     throw std::invalid_argument(
@@ -950,32 +935,22 @@ void ServerCore::finish() {
   for (Index m = 0; m < config_.objects; ++m) all[index_of(m)] = m;
   epilogue(all);
 
-  // Per-object finalization: the object's own channel peak (sorts its
-  // events — safe now, the ledger has its own copy), the canonical
-  // plan, and the interval ordering. Parallel: objects are independent.
+  // Per-object finalization: the canonical plan, the session repair and
+  // the object's own channel peak, whose ±1 events come from the
+  // (repaired) stream table. Parallel: objects are independent.
   util::parallel_for(
       0, n,
       [&](std::int64_t m) {
         ObjectState& state = *impl_->objects[static_cast<std::size_t>(m)];
         if (state.collect_plan) state.plan = state.build_plan();
-        if (config_.enable_sessions) {
-          repair_object_plan(state);
-          // The object's own peak reflects the repaired stream ends.
-          std::vector<ChannelEvent> repaired;
-          repaired.reserve(2 * state.stream_starts.size());
-          for (std::size_t i = 0; i < state.stream_starts.size(); ++i) {
-            repaired.push_back({state.stream_starts[i], +1});
-            repaired.push_back(
-                {state.stream_starts[i] + state.stream_durations[i], -1});
-          }
-          state.outcome.peak_concurrency = peak_overlap(repaired);
-        } else {
-          state.outcome.peak_concurrency = peak_overlap(state.events);
+        if (config_.enable_sessions) repair_object_plan(state);
+        std::vector<ChannelEvent> events;
+        events.reserve(2 * state.stream_starts.size());
+        for (std::size_t i = 0; i < state.stream_starts.size(); ++i) {
+          events.push_back({state.stream_starts[i], +1});
+          events.push_back({state.stream_starts[i] + state.stream_durations[i], -1});
         }
-        std::stable_sort(state.intervals.begin(), state.intervals.end(),
-                         [](const StreamInterval& a, const StreamInterval& b) {
-                           return a.start < b.start;
-                         });
+        state.outcome.peak_concurrency = peak_overlap(events);
       },
       config_.shards);
 
@@ -1027,11 +1002,14 @@ void ServerCore::finish() {
   snap.degraded = impl_->degraded;
 
   if (config_.collect_stream_intervals) {
+    // Object order, emission order within an object; the stable sort by
+    // start keeps that order among ties.
     snap.stream_intervals.reserve(static_cast<std::size_t>(snap.total_streams));
     for (const auto& state : impl_->objects) {
-      snap.stream_intervals.insert(snap.stream_intervals.end(),
-                                   state->intervals.begin(),
-                                   state->intervals.end());
+      for (std::size_t i = 0; i < state->stream_starts.size(); ++i) {
+        const double start = state->stream_starts[i];
+        snap.stream_intervals.push_back({start, start + state->stream_durations[i]});
+      }
     }
     std::stable_sort(snap.stream_intervals.begin(), snap.stream_intervals.end(),
                      [](const StreamInterval& a, const StreamInterval& b) {
@@ -1072,7 +1050,7 @@ Snapshot ServerCore::take_snapshot() {
 LiveStats ServerCore::live_stats() {
   LiveStats stats;
   stats.arrivals = impl_->arrivals;
-  stats.admitted = impl_->admitted;
+  stats.admitted = impl_->wait_count;
   stats.rejected = impl_->rejected;
   stats.deferrals = impl_->deferrals;
   stats.degraded = impl_->degraded;
@@ -1091,12 +1069,15 @@ LiveStats ServerCore::live_stats() {
         std::sort(state->session_ends.begin(), state->session_ends.end());
         state->session_ends_sorted = true;
       }
-      // Playbacks are nondecreasing (admission order), ends sorted just
-      // above: live = started-by-now minus ended-by-now.
-      const auto started =
-          std::upper_bound(state->session_playbacks.begin(),
-                           state->session_playbacks.end(), now) -
-          state->session_playbacks.begin();
+      // Session i's playback is admissions[i].first, nondecreasing in
+      // admission order; ends are sorted just above: live =
+      // started-by-now minus ended-by-now, over the resolved sessions.
+      const auto first = state->admissions.begin();
+      const auto resolved = first + static_cast<std::ptrdiff_t>(state->resolved_sessions);
+      const auto by_playback = [](double t, const std::pair<double, double>& admission) {
+        return t < admission.first;
+      };
+      const auto started = std::upper_bound(first, resolved, now, by_playback) - first;
       const auto ended = std::upper_bound(state->session_ends.begin(),
                                           state->session_ends.end(), now) -
                          state->session_ends.begin();
@@ -1105,12 +1086,6 @@ LiveStats ServerCore::live_stats() {
   }
   return stats;
 }
-
-Index ServerCore::current_channels(double t) {
-  return impl_->ledger.occupancy_at(t);
-}
-
-Index ServerCore::peak_channels() { return impl_->ledger.peak(); }
 
 util::DelayProfile ServerCore::wait_profile(bool exact) {
   util::DelayProfile profile;
@@ -1137,18 +1112,11 @@ util::DelayProfile ServerCore::wait_profile(bool exact) {
   return profile;
 }
 
-double ServerCore::object_cost(Index object) const {
-  if (object < 0 || object >= config_.objects) {
-    throw std::out_of_range("ServerCore::object_cost");
-  }
-  return impl_->objects[index_of(object)]->outcome.cost;
-}
-
 // --- Crash consistency ------------------------------------------------------
 
 namespace {
 
-constexpr std::string_view kCheckpointSchema = "smerge-ckpt-v2";
+constexpr std::string_view kCheckpointSchema = "smerge-ckpt-v3";
 
 void save_p2(util::SnapshotWriter& w, const util::P2State& s) {
   w.f64(s.q);
@@ -1179,7 +1147,6 @@ void save_config(util::SnapshotWriter& w, const ServerCoreConfig& c) {
   w.i64(c.channel_capacity);
   w.u8(static_cast<std::uint8_t>(c.admission));
   w.i64(c.max_defer_slots);
-  w.f64(c.ledger_bucket);
   w.boolean(c.collect_stream_intervals);
   w.boolean(c.collect_plans);
   w.boolean(c.enable_sessions);
@@ -1207,7 +1174,6 @@ void check_config(util::SnapshotReader& r, const ServerCoreConfig& c) {
   if (r.i64() != c.channel_capacity) mismatch("channel_capacity");
   if (r.u8() != static_cast<std::uint8_t>(c.admission)) mismatch("admission");
   if (r.i64() != c.max_defer_slots) mismatch("max_defer_slots");
-  if (r.f64() != c.ledger_bucket) mismatch("ledger_bucket");
   if (r.boolean() != c.collect_stream_intervals) {
     mismatch("collect_stream_intervals");
   }
@@ -1244,7 +1210,6 @@ std::vector<std::uint8_t> ServerCore::checkpoint(
   w.blob(driver_blob);
 
   w.i64(impl_->arrivals);
-  w.i64(impl_->admitted);
   w.i64(impl_->rejected);
   w.i64(impl_->deferrals);
   w.i64(impl_->degraded);
@@ -1277,16 +1242,6 @@ std::vector<std::uint8_t> ServerCore::checkpoint(
     w.f64(s.outcome.retracted_cost);
     w.f64(s.outcome.extended_cost);
 
-    w.u64(s.events.size());
-    for (const ChannelEvent& e : s.events) {
-      w.f64(e.time);
-      w.i64(e.delta);
-    }
-    w.u64(s.intervals.size());
-    for (const StreamInterval& iv : s.intervals) {
-      w.f64(iv.start);
-      w.f64(iv.end);
-    }
     w.f64_vec(s.waits);
     w.f64(s.wait_sum);
     w.f64_vec(s.stream_starts);
@@ -1297,17 +1252,14 @@ std::vector<std::uint8_t> ServerCore::checkpoint(
       w.f64(playback);
       w.f64(wait);
     }
-    plan::save_plan(w, s.plan);
     w.f64_vec(s.pending);
-    w.u64(s.flushed_events);
+    w.u64(s.flushed_streams);
     w.u64(s.flushed_waits);
     w.boolean(s.dirty);
 
     plan::save_session_traces(w, s.sessions);
     w.u64(s.resolved_sessions);
-    w.f64_vec(s.session_playbacks);
     w.f64_vec(s.session_ends);
-    w.boolean(s.session_ends_sorted);
     w.u64(s.plan_events.size());
     for (const ObjectState::PlanEvent& e : s.plan_events) {
       w.f64(e.wall);
@@ -1315,8 +1267,6 @@ std::vector<std::uint8_t> ServerCore::checkpoint(
       w.i64(e.session);
       w.boolean(e.is_seek);
     }
-    plan::save_edits(w, s.session_edits);
-    plan::save_repair_stats(w, s.repair);
 
     w.f64(s.last_time);
     w.f64(s.last_playback);
@@ -1343,7 +1293,6 @@ RestoreInfo ServerCore::restore_state(std::span<const std::uint8_t> frame) {
   info.driver_blob.assign(blob.begin(), blob.end());
 
   impl_->arrivals = r.i64();
-  impl_->admitted = r.i64();
   impl_->rejected = r.i64();
   impl_->deferrals = r.i64();
   impl_->degraded = r.i64();
@@ -1379,29 +1328,15 @@ RestoreInfo ServerCore::restore_state(std::span<const std::uint8_t> frame) {
     s.outcome.retracted_cost = r.f64();
     s.outcome.extended_cost = r.f64();
 
-    const std::uint64_t event_count = r.u64();
-    if (event_count > r.remaining() / 16) {
-      throw util::SnapshotError("checkpoint: event count exceeds remaining");
-    }
-    s.events.resize(static_cast<std::size_t>(event_count));
-    for (ChannelEvent& e : s.events) {
-      e.time = r.f64();
-      e.delta = static_cast<int>(r.i64());
-    }
-    const std::uint64_t interval_count = r.u64();
-    if (interval_count > r.remaining() / 16) {
-      throw util::SnapshotError("checkpoint: interval count exceeds remaining");
-    }
-    s.intervals.resize(static_cast<std::size_t>(interval_count));
-    for (StreamInterval& iv : s.intervals) {
-      iv.start = r.f64();
-      iv.end = r.f64();
-    }
     s.waits = r.f64_vec();
     s.wait_sum = r.f64();
     s.stream_starts = r.f64_vec();
     s.stream_durations = r.f64_vec();
     s.stream_parents = r.i64_vec();
+    if (s.stream_durations.size() != s.stream_starts.size() ||
+        s.stream_parents.size() != s.stream_starts.size()) {
+      throw util::SnapshotError("checkpoint: stream table lengths differ");
+    }
     const std::uint64_t admission_count = r.u64();
     if (admission_count > r.remaining() / 16) {
       throw util::SnapshotError(
@@ -1412,27 +1347,24 @@ RestoreInfo ServerCore::restore_state(std::span<const std::uint8_t> frame) {
       playback = r.f64();
       wait = r.f64();
     }
-    s.plan = plan::load_plan(r);
     s.pending = r.f64_vec();
-    const std::uint64_t flushed_events = r.u64();
+    const std::uint64_t flushed_streams = r.u64();
     const std::uint64_t flushed_waits = r.u64();
-    if (flushed_events > s.events.size() || (flushed_events % 2) != 0 ||
-        flushed_waits > s.waits.size()) {
+    if (flushed_streams > s.stream_starts.size() || flushed_waits > s.waits.size()) {
       throw util::SnapshotError("checkpoint: flush cursor out of range");
     }
-    s.flushed_events = static_cast<std::size_t>(flushed_events);
+    s.flushed_streams = static_cast<std::size_t>(flushed_streams);
     s.flushed_waits = static_cast<std::size_t>(flushed_waits);
     s.dirty = r.boolean();
 
     s.sessions = plan::load_session_traces(r);
     const std::uint64_t resolved = r.u64();
-    if (resolved > s.sessions.size()) {
+    if (resolved > s.sessions.size() || resolved > s.admissions.size()) {
       throw util::SnapshotError("checkpoint: resolved cursor out of range");
     }
     s.resolved_sessions = static_cast<std::size_t>(resolved);
-    s.session_playbacks = r.f64_vec();
     s.session_ends = r.f64_vec();
-    s.session_ends_sorted = r.boolean();
+    s.session_ends_sorted = false;
     const std::uint64_t plan_event_count = r.u64();
     if (plan_event_count > r.remaining() / 25) {
       throw util::SnapshotError(
@@ -1445,8 +1377,6 @@ RestoreInfo ServerCore::restore_state(std::span<const std::uint8_t> frame) {
       e.session = r.i64();
       e.is_seek = r.boolean();
     }
-    s.session_edits = plan::load_edits(r);
-    s.repair = plan::load_repair_stats(r);
 
     s.last_time = r.f64();
     s.last_playback = r.f64();
@@ -1489,9 +1419,9 @@ Ticket ServerCore::preview_admission(Index object, double time) const {
   if (object < 0 || object >= config_.objects) {
     throw std::out_of_range("ServerCore::preview_admission: bad object id");
   }
-  if (!valid_time(time)) {
+  if (!valid_time(time, config_.horizon)) {
     throw std::invalid_argument(
-        "ServerCore::preview_admission: time must be finite and nonnegative");
+        "ServerCore::preview_admission: time must lie in [0, horizon]");
   }
   const double playback = impl_->preview_policy->playback_start(time);
   Ticket ticket = policy_ticket(object, time, playback);

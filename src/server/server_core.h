@@ -23,13 +23,13 @@
 //    slot, or degrade to a later batch — instead of the legacy engine's
 //    post-hoc violation counting.
 //
-// Live queries — current/peak channels, running delay percentiles
-// (P² estimates or exact-on-demand), per-object cost — are answerable
-// at any quiescent point (between drains, or any time on the serial
-// path), not just at end-of-run. `finish()` flushes the policies'
-// horizon schedules; `take_snapshot()` then yields totals bit-identical
-// to the legacy engine reduction (same fold orders, same canonical
-// event order in the ledger).
+// Live queries — current/peak channels and running delay percentiles
+// (P² estimates or exact-on-demand) — are answerable at any quiescent
+// point (between drains, or any time on the serial path), not just at
+// end-of-run. `finish()` flushes the policies' horizon schedules;
+// `take_snapshot()` then yields totals bit-identical to the legacy
+// engine reduction (same fold orders, same canonical event order in the
+// ledger).
 #ifndef SMERGE_SERVER_SERVER_CORE_H
 #define SMERGE_SERVER_SERVER_CORE_H
 
@@ -82,22 +82,22 @@ struct ServerCoreConfig {
   Index channel_capacity = 0;   ///< channel budget; 0 = unbounded
   AdmissionMode admission = AdmissionMode::kObserve;
   Index max_defer_slots = 8;    ///< defer mode: slots probed before rejecting
-  double ledger_bucket = 0.0;   ///< ledger bucket width; 0 = one slot (delay)
   Index mailbox_capacity = 0;   ///< post() ring slots per shard, rounded up
                                 ///< to a power of two; 0 = 65536. Results
                                 ///< never depend on it (overflow spills,
                                 ///< nothing drops), so checkpoints ignore
                                 ///< it like the shard width.
-  bool collect_stream_intervals = false;  ///< keep all intervals (O(streams))
-  bool collect_plans = false;   ///< assemble per-object MergePlans (O(streams))
+  bool collect_stream_intervals = false;  ///< export every stream's interval
+  bool collect_plans = false;   ///< assemble per-object MergePlans
+                                ///< (records admissions: O(clients))
 
   // Session lifecycle (generic policy serving only). When enabled the
   // core takes `ingest_session_trace` instead of plain arrivals, tracks
   // live sessions, and repairs each object's plan in place at finish():
   // subtrees whose last viewer departed are truncated, seek-away
   // subtrees re-root, and every end move is folded through the channel
-  // ledger as a retraction pair. Stream/admission recording is forced
-  // on internally (plans are only exported when `collect_plans` is set).
+  // ledger as a retraction pair. Admission recording is forced on
+  // internally (plans are only exported when `collect_plans` is set).
   bool enable_sessions = false;
   plan::ChunkingConfig chunking;  ///< segment timeline for emitted plans
 };
@@ -163,17 +163,17 @@ struct LiveStats {
   Index session_abandons = 0;
 };
 
-/// End-of-run totals (after `finish()`); the engine adapter maps this
-/// 1:1 onto `sim::EngineResult`.
+/// End-of-run totals (after `finish()`). This is also the simulation
+/// engine's result (`sim::EngineResult`).
 struct Snapshot {
   Index total_arrivals = 0;
   Index total_streams = 0;
-  double streams_served = 0.0;
-  util::DelayProfile wait;     ///< exact nearest-rank percentiles
-  Index peak_concurrency = 0;
-  Index guarantee_violations = 0;
-  Index capacity_violations = 0;  ///< observe-mode saturated starts
-  Index rejected = 0;
+  double streams_served = 0.0;     ///< total cost / media length
+  util::DelayProfile wait;         ///< exact nearest-rank percentiles
+  Index peak_concurrency = 0;      ///< server-wide channel peak
+  Index guarantee_violations = 0;  ///< sum of per-object violations
+  Index capacity_violations = 0;   ///< observe-mode saturated starts
+  Index rejected = 0;              ///< capacity modes only
   Index deferrals = 0;
   Index degraded = 0;
 
@@ -182,14 +182,20 @@ struct Snapshot {
   Index session_pauses = 0;
   Index session_seeks = 0;
   Index session_abandons = 0;
-  Index plan_truncations = 0;
-  Index plan_reroots = 0;
-  double retracted_cost = 0.0;
-  double extended_cost = 0.0;
+  Index plan_truncations = 0;      ///< stream ends pulled earlier by repair
+  Index plan_reroots = 0;          ///< subtrees detached and re-rooted
+  double retracted_cost = 0.0;     ///< media units cancelled by repair
+  double extended_cost = 0.0;      ///< media units added by re-roots
 
   std::vector<ObjectOutcome> per_object;
-  std::vector<StreamInterval> stream_intervals;  ///< collected only
-  std::vector<plan::MergePlan> plans;            ///< collected only
+  /// Every transmission interval sorted by start (ties keep object-id,
+  /// then emission order); empty unless `collect_stream_intervals`. Feed
+  /// to `assign_channels` for a physical channel plan.
+  std::vector<StreamInterval> stream_intervals;
+  /// Per-object canonical plans (index = object id, media length 1.0);
+  /// empty unless `collect_plans`. Each passes `plan::verify` for the
+  /// shipped policies.
+  std::vector<plan::MergePlan> plans;
 };
 
 /// True when `wait` exceeds `delay` beyond floating-point slot-boundary
@@ -210,12 +216,13 @@ struct RestoreInfo {
 /// `post()`, which any number of producer threads may call concurrently
 /// (lock-free ring mailboxes); drain() parallelizes internally.
 ///
-/// Memory: the core retains per-object events and waits for the whole
-/// run — that is what makes exact-on-demand percentiles, per-object
-/// peaks and the end-of-run snapshot possible, and it matches the
-/// legacy engine's footprint (O(clients + streams)). An indefinitely
-/// running deployment that only needs the O(1) live stats would want a
-/// retention cap; today's drivers are all bounded-horizon runs.
+/// Memory: the core retains every object's stream table (start, length,
+/// parent: 24 B per stream) and waits for the whole run — that is what
+/// makes exact-on-demand percentiles, per-object peaks and the
+/// end-of-run snapshot possible (O(clients + streams)); the ledger keeps
+/// its own ±1 events. An indefinitely running deployment that only
+/// needs the O(1) live stats would want a retention cap; today's
+/// drivers are all bounded-horizon runs.
 class ServerCore {
  public:
   /// Generic-policy core (`ServeMode::kPolicy`): calls
@@ -234,8 +241,9 @@ class ServerCore {
   ServerCore& operator=(const ServerCore&) = delete;
 
   // --- Ingest -------------------------------------------------------------
-  // Every entry point below throws std::invalid_argument on a negative
-  // or non-finite arrival time.
+  // Every entry point below throws std::invalid_argument on an arrival
+  // time outside [0, horizon] (NaN and infinities included): the horizon
+  // flush airs no stream past it.
 
   /// Serial live path: decides this arrival now and returns its ticket.
   /// Arrivals must be nondecreasing per object (and, for the capacity
@@ -297,15 +305,9 @@ class ServerCore {
   /// stats surface does exactly that); arrivals still in the rings are
   /// simply not visible yet. Other threads must not call it.
   [[nodiscard]] LiveStats live_stats();
-  /// Channels busy at time `t`.
-  [[nodiscard]] Index current_channels(double t);
-  /// Peak channels so far.
-  [[nodiscard]] Index peak_channels();
   /// Wait distribution: `exact` sorts all waits recorded so far
   /// (O(n log n)); otherwise returns the O(1) P² running estimates.
   [[nodiscard]] util::DelayProfile wait_profile(bool exact);
-  /// Media units transmitted by one object so far.
-  [[nodiscard]] double object_cost(Index object) const;
 
   /// The configuration the core was built with.
   [[nodiscard]] const ServerCoreConfig& config() const noexcept { return config_; }
@@ -320,17 +322,18 @@ class ServerCore {
   /// the network front end stamps TICKET replies from: any reactor
   /// thread may call it concurrently with post() and drain(). Throws
   /// std::invalid_argument on a slotted core (whose admissions depend on
-  /// the live ledger) or a negative or non-finite time,
+  /// the live ledger) or a time outside [0, horizon],
   /// std::out_of_range on a bad object id.
   [[nodiscard]] Ticket preview_admission(Index object, double time) const;
 
   // --- Crash consistency --------------------------------------------------
 
-  /// Serializes the core's complete state — configuration echo, running
-  /// counters, P² percentile markers, the channel ledger (difference
-  /// counters + sorted-prefix cursors), and every object's recorder,
-  /// mailbox, session log and policy state — into a checksummed
-  /// `smerge-ckpt-v2` frame. Valid at any quiescent pre-finish point
+  /// Serializes the state a continuation reads — configuration echo,
+  /// running counters, P² percentile markers, the channel ledger
+  /// (difference counters + sorted-prefix cursors), and every object's
+  /// stream table, waits, admissions, mailbox, session log and policy
+  /// state — into a checksummed `smerge-ckpt-v3` frame. Nothing only
+  /// finish() writes is stored. Valid at any quiescent pre-finish point
   /// (between drains / admits). `wal_records` is the number of admission
   /// WAL records this state already covers (the replay cursor);
   /// `driver_blob` is an opaque extension the driver gets back verbatim

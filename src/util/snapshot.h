@@ -1,9 +1,9 @@
 // Versioned, checksummed binary state serialization — the substrate of
-// crash consistency (server checkpoints, the admission WAL, policy and
-// plan state round-trips).
+// crash consistency (server checkpoints, the admission WAL, policy
+// state round-trips).
 //
 // A snapshot is a *frame*: a fixed magic, a format version, a schema
-// string naming the payload layout (e.g. "smerge-ckpt-v2"), the payload
+// string naming the payload layout (e.g. "smerge-ckpt-v3"), the payload
 // length, the payload itself, and a trailing FNV-1a 64 checksum over
 // everything before it. `SnapshotWriter` accumulates a payload through
 // typed little-endian appends and seals it with `frame(schema)`;

@@ -392,9 +392,14 @@ TEST(ServerCorePost, ValidatesArgumentsAndServeMode) {
   EXPECT_THROW(core.post(-1, 0.5), std::out_of_range);
   EXPECT_THROW(core.post(4, 0.5), std::out_of_range);
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  for (const double t : {-0.5, std::numeric_limits<double>::quiet_NaN(), kInf, -kInf}) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  for (const double t : {-0.5, kNaN, kInf, -kInf, config.horizon + 0.5, 1e300}) {
     EXPECT_THROW(core.post(0, t), std::invalid_argument) << "t=" << t;
   }
+  // The horizon itself is a valid arrival time.
+  core.post(0, config.horizon);
+  core.finish();
+  EXPECT_EQ(core.take_snapshot().total_arrivals, 1);
 
   server::ServerCoreConfig slotted = config;
   slotted.serve = server::ServeMode::kSlottedBatching;

@@ -368,8 +368,10 @@ TEST(NetServer, DecreasingAdmitTimeClosesConnection) {
   server.stop();
 }
 
-// A non-finite ADMIT time closes only its own connection; it must not
-// reach Delay Guaranteed's slot arithmetic and fail everyone's run.
+// A non-finite ADMIT time, or one past the horizon, closes only its own
+// connection; it must not reach Delay Guaranteed's slot arithmetic (or
+// be promised a stream the horizon flush never airs) and fail everyone's
+// run.
 TEST(NetServer, NonFiniteAdmitTimeClosesOnlyItsConnection) {
   const auto traces = make_traces(2, 5);  // ten admits
   DelayGuaranteedPolicy reference_policy;
@@ -377,25 +379,29 @@ TEST(NetServer, NonFiniteAdmitTimeClosesOnlyItsConnection) {
   DelayGuaranteedPolicy policy;
   NetServerConfig net;
   net.drain_interval_us = 200;
-  NetServer server(net, core_config(2, 2), policy);
+  const server::ServerCoreConfig config = core_config(2, 2);
+  NetServer server(net, config, policy);
   server.start();
 
-  FdHandle bad = connect_tcp("127.0.0.1", server.port());
-  // Bounded wait: a server that accepted the admit would never close.
-  const timeval timeout{5, 0};
-  ASSERT_EQ(::setsockopt(bad.get(), SOL_SOCKET, SO_RCVTIMEO, &timeout,
-                         sizeof timeout),
-            0);
-  std::vector<std::uint8_t> out;
-  append_admit(out, 1, 1, std::numeric_limits<double>::infinity());
-  ASSERT_GT(::send(bad.get(), out.data(), out.size(), MSG_NOSIGNAL), 0);
-  char buf[256];
-  ssize_t n = 0;
-  while ((n = ::recv(bad.get(), buf, sizeof buf, 0)) > 0) {
+  const double bad_times[] = {std::numeric_limits<double>::infinity(),
+                              config.horizon + 0.5, 1e300};
+  for (const double t : bad_times) {
+    FdHandle bad = connect_tcp("127.0.0.1", server.port());
+    // Bounded wait: a server that accepted the admit would never close.
+    const timeval timeout{5, 0};
+    ASSERT_EQ(::setsockopt(bad.get(), SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                           sizeof timeout),
+              0);
+    std::vector<std::uint8_t> out;
+    append_admit(out, 1, 1, t);
+    ASSERT_GT(::send(bad.get(), out.data(), out.size(), MSG_NOSIGNAL), 0);
+    char buf[256];
+    ssize_t n = 0;
+    while ((n = ::recv(bad.get(), buf, sizeof buf, 0)) > 0) {
+    }
+    EXPECT_EQ(n, 0) << "server must close the bad connection, t=" << t;
   }
-  EXPECT_EQ(n, 0) << "server must close the bad connection";
-  bad.reset();
-  EXPECT_GE(server.counters().protocol_errors, 1u);
+  EXPECT_GE(server.counters().protocol_errors, 3u);
 
   const server::WireSummary summary = drive_wire(server, traces, 1);
   EXPECT_TRUE(summary.ok);

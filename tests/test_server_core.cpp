@@ -265,7 +265,7 @@ TEST(ServerCore, ChunkedIngestMatchesOneShotEngineRun) {
     }
   }
   core.finish();
-  const sim::EngineResult chunked = sim::to_engine_result(core.take_snapshot());
+  const sim::EngineResult chunked = core.take_snapshot();
 
   EXPECT_EQ(chunked.total_arrivals, reference.total_arrivals);
   EXPECT_EQ(chunked.total_streams, reference.total_streams);
@@ -411,7 +411,7 @@ TEST(ServerCore, RejectModeKeepsPeakWithinBudgetAndGuaranteeIntact) {
   }
   EXPECT_GT(admitted, 0);
   EXPECT_GT(rejected, 0);
-  EXPECT_LE(core.peak_channels(), 2);
+  EXPECT_LE(core.live_stats().peak_channels, 2);
   core.finish();
   const Snapshot snap = core.take_snapshot();
   EXPECT_EQ(snap.guarantee_violations, 0);
@@ -443,7 +443,7 @@ TEST(ServerCore, DeferModeAdmitsMoreAndRepromisesTheDelay) {
     }
   }
   EXPECT_GT(deferred_clients, 0);
-  EXPECT_LE(defer_core.peak_channels(), 2);
+  EXPECT_LE(defer_core.live_stats().peak_channels, 2);
   defer_core.finish();
   reject_core.finish();
   const Snapshot deferred = defer_core.take_snapshot();
@@ -463,7 +463,7 @@ TEST(ServerCore, DegradeModeNeverRejectsAndStaysWithinBudget) {
     if (ticket.degraded) ++degraded;
   }
   EXPECT_GT(degraded, 0);
-  EXPECT_LE(core.peak_channels(), 2);
+  EXPECT_LE(core.live_stats().peak_channels, 2);
   core.finish();
   const Snapshot snap = core.take_snapshot();
   EXPECT_EQ(snap.rejected, 0);
@@ -481,7 +481,7 @@ TEST(ServerCore, ObserveModeCountsInsteadOfRejecting) {
     ASSERT_TRUE(ticket.admitted);
     EXPECT_FALSE(violates_guarantee(ticket.wait, 0.2));
   }
-  EXPECT_GT(core.peak_channels(), 2);
+  EXPECT_GT(core.live_stats().peak_channels, 2);
   core.finish();
   const Snapshot snap = core.take_snapshot();
   EXPECT_EQ(snap.rejected, 0);
@@ -553,10 +553,13 @@ TEST(ServerCore, PreviewLeavesGreedyToTheDrain) {
   }
 }
 
-/// Arrival times no ingest entry point may accept.
-std::vector<double> bad_times() {
+/// Arrival times no ingest entry point of a core with this horizon may
+/// accept: the horizon flush airs no stream past it, and 1e300 would
+/// overflow the slot arithmetic's integer cast.
+std::vector<double> bad_times(double horizon) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  return {-1.0, std::numeric_limits<double>::quiet_NaN(), kInf, -kInf};
+  return {-1.0, std::numeric_limits<double>::quiet_NaN(), kInf, -kInf,
+          horizon + 0.5, 1e300};
 }
 
 TEST(ServerCore, PreviewRejectsSlottedCores) {
@@ -570,7 +573,7 @@ TEST(ServerCore, PreviewRejectsSlottedCores) {
   BatchingPolicy policy;
   ServerCore generic(ServerCoreConfig{}, policy);
   EXPECT_THROW((void)generic.preview_admission(1, 0.0), std::out_of_range);
-  for (const double t : bad_times()) {
+  for (const double t : bad_times(generic.config().horizon)) {
     EXPECT_THROW((void)generic.preview_admission(0, t), std::invalid_argument)
         << "t=" << t;
   }
@@ -594,30 +597,51 @@ TEST(ServerCore, Validation) {
   config.channel_capacity = 4;
   ServerCore ok{config};
   EXPECT_THROW((void)ok.admit(-1, 0.5), std::out_of_range);
-  for (const double t : bad_times()) {
+  for (const double t : bad_times(config.horizon)) {
     EXPECT_THROW((void)ok.admit(0, t), std::invalid_argument) << "t=" << t;
   }
   (void)ok.admit(0, 1.0);
   EXPECT_THROW((void)ok.admit(0, 0.5), std::invalid_argument);  // unsorted
   EXPECT_THROW(ok.ingest_trace(0, {2.0}), std::invalid_argument);  // slotted
+  EXPECT_TRUE(ok.admit(0, config.horizon).admitted);  // the closed bound
   ok.finish();
   EXPECT_THROW((void)ok.admit(0, 2.0), std::logic_error);
   config = ServerCoreConfig{};
   config.objects = 2;
   ServerCore generic(config, policy);
   EXPECT_THROW((void)generic.take_snapshot(), std::logic_error);
-  for (const double t : bad_times()) {
+  for (const double t : bad_times(config.horizon)) {
     EXPECT_THROW(generic.ingest_trace(0, {0.5, t}), std::invalid_argument)
         << "t=" << t;
     EXPECT_THROW((void)generic.admit(1, t), std::invalid_argument) << "t=" << t;
   }
   config.enable_sessions = true;
   ServerCore sessions(config, policy);
-  for (const double t : bad_times()) {
+  for (const double t : bad_times(config.horizon)) {
     EXPECT_THROW(sessions.ingest_session_trace(0, {SessionTrace{t, {}}}),
                  std::invalid_argument)
         << "t=" << t;
   }
+  EXPECT_NO_THROW(
+      sessions.ingest_session_trace(0, {SessionTrace{config.horizon, {}}}));
+
+  // An arrival at the horizon itself maps onto the last stream the
+  // horizon flush airs; one past it would be promised a stream that
+  // never airs.
+  DelayGuaranteedPolicy dg;
+  ServerCoreConfig bounded;
+  bounded.delay = 0.01;
+  bounded.horizon = 1.0;
+  bounded.collect_plans = true;
+  ServerCore edge(bounded, dg);
+  EXPECT_THROW(edge.ingest_trace(0, {0.5, 1.5}), std::invalid_argument);
+  edge.ingest_trace(0, {0.5, 1.0});
+  edge.finish();
+  const Snapshot snap = edge.take_snapshot();
+  EXPECT_EQ(snap.total_arrivals, 2);
+  EXPECT_EQ(snap.guarantee_violations, 0);
+  ASSERT_EQ(snap.plans.size(), 1u);
+  EXPECT_EQ(snap.plans[0].start().back(), 1.0);
 }
 
 }  // namespace

@@ -439,6 +439,8 @@ TEST(EngineChurn, BitIdenticalAcrossShardWidths) {
 TEST(EngineChurn, RepairAccountingIsConsistent) {
   GreedyMergePolicy policy(merging::DyadicParams{}, false);
   sim::EngineConfig config = churn_config();
+  config.collect_stream_intervals = true;
+  config.collect_plans = true;
   const sim::EngineResult churned = run_engine(config, policy);
   // Every arrival is a session, and the flash crowd is large enough to
   // exercise every behaviour and repair kind.
@@ -463,6 +465,30 @@ TEST(EngineChurn, RepairAccountingIsConsistent) {
   EXPECT_EQ(truncations, churned.plan_truncations);
   EXPECT_NEAR(retracted, churned.retracted_cost, 1e-9);
   EXPECT_NEAR(extended, churned.extended_cost, 1e-9);
+
+  // The collected intervals are the repaired streams: one per plan
+  // stream, each ending where its repaired length says, and a channel
+  // plan over them needs exactly the measured peak.
+  ASSERT_EQ(churned.stream_intervals.size(),
+            static_cast<std::size_t>(churned.total_streams));
+  std::vector<StreamInterval> planned;
+  for (const MergePlan& p : churned.plans) {
+    for (Index i = 0; i < p.size(); ++i) {
+      const auto u = static_cast<std::size_t>(i);
+      planned.push_back({p.start()[u], p.start()[u] + p.length()[u]});
+    }
+  }
+  std::stable_sort(planned.begin(), planned.end(),
+                   [](const StreamInterval& a, const StreamInterval& b) {
+                     return a.start < b.start;
+                   });
+  ASSERT_EQ(planned.size(), churned.stream_intervals.size());
+  for (std::size_t i = 0; i < planned.size(); ++i) {
+    EXPECT_EQ(churned.stream_intervals[i].start, planned[i].start) << i;
+    EXPECT_EQ(churned.stream_intervals[i].end, planned[i].end) << i;
+  }
+  EXPECT_EQ(assign_channels(churned.stream_intervals).channels_used,
+            churned.peak_concurrency);
 
   // Churn never perturbs admissions, so the served cost differs from
   // the churn-free run by exactly the repair delta.
