@@ -25,10 +25,7 @@ int main(int argc, char** argv) {
   args.add_int("budget", 12, "peak channel budget for one media object");
   args.add_double("horizon", 100.0, "planning horizon in media lengths");
   try {
-    if (!args.parse(argc, argv)) {
-      std::cout << args.help();
-      return EXIT_SUCCESS;
-    }
+    if (!args.parse(argc, argv)) return EXIT_SUCCESS;
     const auto budget = args.get_int("budget");
     const double horizon = args.get_double("horizon");
 

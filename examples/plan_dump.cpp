@@ -75,10 +75,7 @@ int main(int argc, char** argv) {
                     "in place before dumping");
 
   try {
-    if (!parser.parse(argc, argv)) {
-      std::cout << parser.help();
-      return 0;
-    }
+    if (!parser.parse(argc, argv)) return 0;
     const std::string kind = parser.get_string("kind");
     const auto L = parser.get_int("media-slots");
     const auto n = parser.get_int("arrivals");

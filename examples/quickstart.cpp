@@ -26,10 +26,7 @@ int main(int argc, char** argv) {
   args.add_int("media-slots", 15, "media length L in slots (delay = 1 slot)");
   args.add_int("slots", 8, "time horizon n in slots (one arrival per slot)");
   try {
-    if (!args.parse(argc, argv)) {
-      std::cout << args.help();
-      return EXIT_SUCCESS;
-    }
+    if (!args.parse(argc, argv)) return EXIT_SUCCESS;
     const Index L = args.get_int("media-slots");
     const Index n = args.get_int("slots");
 

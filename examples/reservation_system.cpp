@@ -34,10 +34,7 @@ int main(int argc, char** argv) {
                "client buffer size in minutes (0 = unbounded, Section 3.3 otherwise)");
   args.add_bool("diagram", false, "print the concrete transmission diagram");
   try {
-    if (!args.parse(argc, argv)) {
-      std::cout << args.help();
-      return EXIT_SUCCESS;
-    }
+    if (!args.parse(argc, argv)) return EXIT_SUCCESS;
     const Index delay = args.get_int("delay-minutes");
     if (delay < 1) throw std::invalid_argument("delay must be >= 1 minute");
     if (args.get_int("movie-minutes") % delay != 0) {

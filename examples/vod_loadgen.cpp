@@ -169,10 +169,7 @@ int main(int argc, char** argv) {
                 "recompute the run in process and fail unless the server's "
                 "FINISHED digest matches");
   try {
-    if (!args.parse(argc, argv)) {
-      std::cout << args.help();
-      return EXIT_SUCCESS;
-    }
+    if (!args.parse(argc, argv)) return EXIT_SUCCESS;
     WorkloadConfig workload;
     workload.process = args.get_bool("constant") ? ArrivalProcess::kConstantRate
                                                  : ArrivalProcess::kPoisson;

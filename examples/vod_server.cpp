@@ -136,12 +136,11 @@ int main(int argc, char** argv) {
   args.add_string("bind", "127.0.0.1", "listen address; needs --listen");
   args.add_int("port", 0, "listen port, 0 = ephemeral; needs --listen");
   args.add_int("reactors", 1, "epoll reactor threads; needs --listen");
-  args.add_int("drain-us", 500, "drain cadence in microseconds; needs --listen");
+  args.add_int("drain-us", 500,
+               "fallback bound on the gap between drains in microseconds (drains "
+               "otherwise run on demand); needs --listen");
   try {
-    if (!args.parse(argc, argv)) {
-      std::cout << args.help();
-      return EXIT_SUCCESS;
-    }
+    if (!args.parse(argc, argv)) return EXIT_SUCCESS;
     WorkloadConfig workload;
     workload.process = args.get_bool("constant") ? ArrivalProcess::kConstantRate
                                                  : ArrivalProcess::kPoisson;
@@ -262,7 +261,8 @@ int main(int argc, char** argv) {
       std::cout << "listening on " << net.host << ":" << server.port() << " ("
                 << policy->name() << ", " << workload.objects << " objects over "
                 << shards << " shards, " << net.reactors
-                << " reactors, drain every " << net.drain_interval_us
+                << " reactors, drains on demand, fallback bound "
+                << net.drain_interval_us
                 << " us)\nadmission protocol SMN1; HTTP GET /stats /live "
                    "/dispatch on the same port; a client FINISH ends the run\n"
                 << std::flush;

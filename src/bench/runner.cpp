@@ -105,10 +105,7 @@ int run_cli(int argc, const char* const* argv) {
                  "master RNG seed for the stochastic sim_* benches");
 
   try {
-    if (!parser.parse(argc, argv)) {
-      std::cout << parser.help();
-      return 0;
-    }
+    if (!parser.parse(argc, argv)) return 0;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << '\n' << parser.help();
     return 2;

@@ -8,6 +8,7 @@
 #define SMERGE_NET_CONNECTION_H
 
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -16,15 +17,14 @@
 
 namespace smerge::net {
 
-/// An ADMIT posted to the core but whose TICKET is not yet certain to
-/// be covered by a completed drain. `epoch` is the drain counter
-/// observed *before* the post; the ticket flushes once a strictly later
-/// drain completes.
+/// An ADMIT posted to the core whose TICKET waits for a drain to fold
+/// it. `seq` is what `ServerCore::post` returned: the ticket flushes
+/// once the object's shard has a published folded prefix above it.
 struct PendingAdmit {
   std::uint64_t request_id = 0;
   std::int64_t object = 0;
   double time = 0.0;
-  std::uint64_t epoch = 0;
+  std::uint64_t seq = 0;
 };
 
 class Connection {
@@ -70,7 +70,8 @@ class Connection {
   std::uint32_t interest = 0;         ///< epoll events currently registered
   double last_admit_time = 0.0;       ///< wire contract: nondecreasing
   std::string http_request;           ///< accumulated HTTP header bytes
-  std::vector<PendingAdmit> pending;  ///< tickets awaiting a drain epoch
+  /// Tickets awaiting their fold, in post order; flushes pop the front.
+  std::deque<PendingAdmit> pending;
 
  private:
   FdHandle fd_;

@@ -10,6 +10,7 @@
 #include <sys/timerfd.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -175,14 +176,28 @@ void EventFd::clear() noexcept {
   [[maybe_unused]] const auto n = ::read(fd_.get(), &drained, sizeof drained);
 }
 
-TimerFd::TimerFd(std::uint64_t interval_us)
+TimerFd::TimerFd()
     : fd_(::timerfd_create(CLOCK_MONOTONIC, TFD_CLOEXEC | TFD_NONBLOCK)) {
   if (!fd_.valid()) throw_errno("timerfd_create");
+}
+
+TimerFd::TimerFd(std::uint64_t interval_us) : TimerFd() {
   if (interval_us == 0) interval_us = 1;
   itimerspec spec{};
   spec.it_interval.tv_sec = static_cast<time_t>(interval_us / 1000000);
   spec.it_interval.tv_nsec = static_cast<long>((interval_us % 1000000) * 1000);
   spec.it_value = spec.it_interval;
+  if (::timerfd_settime(fd_.get(), 0, &spec, nullptr) < 0) {
+    throw_errno("timerfd_settime");
+  }
+}
+
+void TimerFd::fire_in(std::chrono::nanoseconds delay) {
+  // A zero it_value would disarm the timer instead.
+  const std::int64_t ns = std::max<std::int64_t>(1, delay.count());
+  itimerspec spec{};
+  spec.it_value.tv_sec = static_cast<time_t>(ns / 1000000000);
+  spec.it_value.tv_nsec = static_cast<long>(ns % 1000000000);
   if (::timerfd_settime(fd_.get(), 0, &spec, nullptr) < 0) {
     throw_errno("timerfd_settime");
   }

@@ -1,6 +1,6 @@
 // Thin RAII wrappers over the Linux readiness primitives the network
 // front end is built on: non-blocking sockets, epoll (edge-triggered),
-// eventfd wakeups and timerfd drain cadence. Every failure surfaces as
+// eventfd wakeups and timerfd drain timers. Every failure surfaces as
 // std::system_error carrying errno and the failing call — which is how
 // `vod_server` turns a port collision into a readable
 // "bind(127.0.0.1:9090): Address already in use" instead of a raw
@@ -8,6 +8,7 @@
 #ifndef SMERGE_NET_EVENT_LOOP_H
 #define SMERGE_NET_EVENT_LOOP_H
 
+#include <chrono>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -109,13 +110,20 @@ class EventFd {
   FdHandle fd_;
 };
 
-/// Periodic timerfd — the drain cadence that keeps admission batching
-/// alive over idle sockets.
+/// CLOCK_MONOTONIC timerfd, periodic or one-shot. The network front end
+/// uses one of each: a periodic fallback bound on the gap between drains
+/// (drains otherwise run on demand) and a re-armed one-shot that spaces
+/// demand drains while posts keep coming.
 class TimerFd {
  public:
+  /// Disarmed until `fire_in`.
+  TimerFd();
   /// Fires every `interval_us` microseconds (>= 1).
   explicit TimerFd(std::uint64_t interval_us);
   [[nodiscard]] int fd() const noexcept { return fd_.get(); }
+  /// Re-arms as a one-shot that fires once, `delay` from now (at once
+  /// when `delay` is not positive).
+  void fire_in(std::chrono::nanoseconds delay);
   /// Consume expirations; returns how many ticks elapsed.
   std::uint64_t read_ticks() noexcept;
 

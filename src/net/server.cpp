@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 
 #include "util/json_writer.h"
 #include "util/snapshot.h"
@@ -20,6 +21,15 @@ namespace {
 constexpr std::uint32_t kBaseInterest = EPOLLET | EPOLLRDHUP;
 constexpr std::size_t kMaxHttpRequest = std::size_t{16} << 10;
 constexpr int kFinishAttempts = 10;
+/// The least time between the starts of two demand drains while posts
+/// keep coming; the first post after a quiet gap is drained at once.
+/// Each drain has a fixed cost — a driver wakeup, the stats refresh, a
+/// reactor wakeup and a TICKET write per connection, about 10 µs of CPU
+/// on a 4-vCPU VM. Back to back, drains of one or two admissions each
+/// more than doubled the server CPU per admission at 100k ADMIT/s; at
+/// this gap it stays within a few percent of a 500 µs timer's while the
+/// median ticket latency falls to about 40% of that timer's.
+constexpr auto kMinDrainGap = std::chrono::microseconds(150);
 
 void json_live_fields(util::JsonWriter& w, const server::LiveStats& live) {
   w.key("arrivals").value(live.arrivals);
@@ -48,6 +58,8 @@ struct NetServer::Reactor {
   std::vector<FdHandle> inbox;  ///< accepted fds awaiting adoption
   std::unordered_map<int, std::unique_ptr<Connection>> conns;
   std::atomic<std::uint64_t> pending_count{0};  ///< tickets awaiting a drain
+  std::atomic<bool> sleeping{false};  ///< flushed; in or entering epoll_wait
+  bool posted = false;                ///< this round posted an ADMIT
   std::vector<ReadyEvent> ready;
   std::thread thread;
 };
@@ -55,7 +67,10 @@ struct NetServer::Reactor {
 NetServer::NetServer(const NetServerConfig& net_config,
                      const server::ServerCoreConfig& core_config,
                      OnlinePolicy& policy)
-    : net_config_(net_config), policy_(policy), core_(core_config, policy) {
+    : net_config_(net_config),
+      policy_(policy),
+      core_(core_config, policy),
+      folded_(core_config.shards) {
   if (core_config.serve != server::ServeMode::kPolicy ||
       core_config.enable_sessions) {
     throw std::invalid_argument(
@@ -160,28 +175,75 @@ NetCounters NetServer::counters() const {
 
 void NetServer::driver_loop() {
   Epoll epoll;
-  TimerFd timer(net_config_.drain_interval_us);
+  TimerFd fallback(net_config_.drain_interval_us);
+  TimerFd gap;
   epoll.add(listener_.get(), EPOLLIN);
-  epoll.add(timer.fd(), EPOLLIN);
+  epoll.add(fallback.fd(), EPOLLIN);
+  epoll.add(gap.fd(), EPOLLIN);
   epoll.add(driver_wake_.fd(), EPOLLIN);
   std::vector<ReadyEvent> ready;
+  bool drained_since_tick = false;
   while (running_.load(std::memory_order_acquire)) {
     epoll.wait(ready, -1);
     if (!running_.load(std::memory_order_acquire)) break;
+    bool check = false;  // an idle->busy wake or the gap timer: claim posts
+    bool tick = false;   // no demand drain for a whole fallback interval
     for (const ReadyEvent& ev : ready) {
       if (ev.fd == listener_.get()) {
         accept_ready();
-      } else if (ev.fd == timer.fd()) {
-        timer.read_ticks();
-        run_drain();
+      } else if (ev.fd == fallback.fd()) {
+        fallback.read_ticks();
+        tick = !drained_since_tick;
+        drained_since_tick = false;
+      } else if (ev.fd == gap.fd()) {
+        gap.read_ticks();
+        check = true;
       } else if (ev.fd == driver_wake_.fd()) {
         driver_wake_.clear();
-        if (finish_requested_.load(std::memory_order_acquire) && !finished()) {
-          run_finish();
-        }
+        check = true;
       }
     }
+    const bool posted = (check || tick) && claim_posts();
+    if (posted || tick) {
+      const auto start = std::chrono::steady_clock::now();
+      run_drain();
+      if (posted) {
+        drained_since_tick = true;
+        // claim_posts left kArmed: the reactors count on a drain at the
+        // gap timer, and one that outlasted the gap fires it at once.
+        gap.fire_in(start + kMinDrainGap - std::chrono::steady_clock::now());
+      }
+    }
+    if (finish_requested_.load(std::memory_order_acquire) && !finished()) {
+      run_finish();
+    }
   }
+}
+
+void NetServer::request_drain() {
+  // Release: the driver's exchange that reads this sees the posts before
+  // it. Only the idle->busy edge wakes the driver; otherwise a drain is
+  // coming at the gap timer and will fold these posts.
+  if (drain_state_.exchange(DrainState::kPosted, std::memory_order_acq_rel) ==
+      DrainState::kIdle) {
+    driver_wake_.notify();
+  }
+}
+
+bool NetServer::claim_posts() {
+  if (drain_state_.exchange(DrainState::kArmed, std::memory_order_acq_rel) ==
+      DrainState::kPosted) {
+    return true;
+  }
+  // Nothing posted since the last drain: go idle, so the next post wakes
+  // the driver, unless a post landed in between.
+  auto expected = DrainState::kArmed;
+  if (drain_state_.compare_exchange_strong(expected, DrainState::kIdle,
+                                           std::memory_order_acq_rel)) {
+    return false;
+  }
+  drain_state_.exchange(DrainState::kArmed, std::memory_order_acq_rel);
+  return true;
 }
 
 void NetServer::accept_ready() {
@@ -227,20 +289,31 @@ void NetServer::run_drain() {
     for (auto& r : reactors_) r->wake.notify();
     return;
   }
-  completed_drains_.fetch_add(1, std::memory_order_release);
   n_drains_.fetch_add(1, std::memory_order_relaxed);
+  bool advanced = false;
+  for (unsigned s = 0; s < folded_.size(); ++s) {
+    advanced |= core_.posts_folded(s) != folded_[s].load(std::memory_order_relaxed);
+  }
+  if (!advanced) return;  // nothing folded: the stats and prefixes stand
   {
     server::LiveStats live = core_.live_stats();
     std::lock_guard lock(state_mutex_);
     cached_live_ = live;
   }
+  // Published after the stats refresh, so a client holding a ticket
+  // reads STATS that count its admission.
+  for (unsigned s = 0; s < folded_.size(); ++s) {
+    folded_[s].store(core_.posts_folded(s), std::memory_order_seq_cst);
+  }
+  // A reactor that is awake flushes at the top of its next round; only a
+  // sleeping one needs the eventfd. Dekker with reactor_loop: it stores
+  // `sleeping` before its flush loads the prefixes, and this loads
+  // `sleeping` after storing them, so one side sees the other.
   for (auto& r : reactors_) {
-    if (r->pending_count.load(std::memory_order_relaxed) > 0) {
+    if (r->sleeping.load(std::memory_order_seq_cst) &&
+        r->pending_count.load(std::memory_order_relaxed) > 0) {
       r->wake.notify();
     }
-  }
-  if (finish_requested_.load(std::memory_order_acquire) && !finished()) {
-    run_finish();
   }
 }
 
@@ -287,7 +360,10 @@ void NetServer::run_finish() {
 
 void NetServer::reactor_loop(Reactor& r) {
   while (running_.load(std::memory_order_acquire)) {
+    r.sleeping.store(true, std::memory_order_seq_cst);
+    flush_tickets(r);
     r.epoll.wait(r.ready, -1);
+    r.sleeping.store(false, std::memory_order_relaxed);
     if (!running_.load(std::memory_order_acquire)) break;
     for (const ReadyEvent& ev : r.ready) {
       if (ev.fd == r.wake.fd()) {
@@ -297,7 +373,7 @@ void NetServer::reactor_loop(Reactor& r) {
         handle_conn_event(r, ev.fd, ev.events);
       }
     }
-    flush_tickets(r);
+    if (std::exchange(r.posted, false)) request_drain();
   }
 }
 
@@ -460,11 +536,10 @@ void NetServer::handle_frame(Reactor& r, Connection& c, const Frame& frame) {
         throw ProtocolError("net: ADMIT after FINISH");
       }
       c.last_admit_time = admit.time;
-      const std::uint64_t epoch =
-          completed_drains_.load(std::memory_order_acquire);
-      core_.post(admit.object, admit.time);
-      c.pending.push_back({admit.request_id, admit.object, admit.time, epoch});
+      const std::uint64_t seq = core_.post(admit.object, admit.time);
+      c.pending.push_back({admit.request_id, admit.object, admit.time, seq});
       r.pending_count.fetch_add(1, std::memory_order_relaxed);
+      r.posted = true;
       return;
     }
     case RecordType::kPing:
@@ -499,32 +574,30 @@ void NetServer::handle_frame(Reactor& r, Connection& c, const Frame& frame) {
 }
 
 void NetServer::flush_tickets(Reactor& r) {
-  const std::uint64_t completed =
-      completed_drains_.load(std::memory_order_acquire);
   const bool fin = finished_.load(std::memory_order_acquire);
+  const auto ready_to_flush = [&](const PendingAdmit& p) {
+    return fin ||
+           p.seq < folded_[core_.shard_of(p.object)].load(std::memory_order_seq_cst);
+  };
   util::SnapshotWriter w;
   for (auto it = r.conns.begin(); it != r.conns.end();) {
     Connection& c = *(it++)->second;  // close_conn below invalidates `it`-1
     if (c.http) continue;
-    std::size_t ready = 0;
-    while (ready < c.pending.size() &&
-           (fin || c.pending[ready].epoch < completed)) {
-      ++ready;
-    }
     bool wrote = false;
-    if (ready > 0) {
-      for (std::size_t i = 0; i < ready; ++i) {
-        const PendingAdmit& p = c.pending[i];
-        const std::size_t base = w.size();
-        w.u64(p.request_id);
-        server::write_ticket(w, core_.preview_admission(p.object, p.time));
-        append_frame(c.out(), RecordType::kTicket,
-                     w.payload().subspan(base));
-      }
-      c.pending.erase(c.pending.begin(),
-                      c.pending.begin() + static_cast<std::ptrdiff_t>(ready));
-      r.pending_count.fetch_sub(ready, std::memory_order_relaxed);
-      n_tickets_.fetch_add(ready, std::memory_order_relaxed);
+    std::size_t flushed = 0;
+    // In post order: a ticket behind an unfolded one waits with it.
+    while (!c.pending.empty() && ready_to_flush(c.pending.front())) {
+      const PendingAdmit& p = c.pending.front();
+      const std::size_t base = w.size();
+      w.u64(p.request_id);
+      server::write_ticket(w, core_.preview_admission(p.object, p.time));
+      append_frame(c.out(), RecordType::kTicket, w.payload().subspan(base));
+      c.pending.pop_front();
+      ++flushed;
+    }
+    if (flushed > 0) {
+      r.pending_count.fetch_sub(flushed, std::memory_order_relaxed);
+      n_tickets_.fetch_add(flushed, std::memory_order_relaxed);
       wrote = true;
     }
     const bool is_finish_conn =

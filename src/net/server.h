@@ -5,9 +5,8 @@
 //
 //  * one *driver* thread owns everything only the core's single driver
 //    may touch: it accepts connections (handing each to a reactor
-//    round-robin), runs `drain()` on a timerfd cadence (so batching
-//    survives idle sockets), refreshes the cached stats the wire and
-//    HTTP surfaces serve, and executes the finish sequence;
+//    round-robin), runs `drain()` on demand, refreshes the cached stats
+//    the wire and HTTP surfaces serve, and executes the finish sequence;
 //  * `reactors` *reactor* threads each run an edge-triggered epoll loop
 //    over their connections: non-blocking reads feed the incremental
 //    frame decoder, ADMIT records go straight into
@@ -16,15 +15,31 @@
 //    stamped from `preview_admission()` (the policy's own slot
 //    arithmetic over construction-time state, safe from any thread).
 //
-// Tickets and drains: a TICKET is buffered per connection tagged with
-// the drain epoch observed before its post and flushed once a strictly
-// later drain completes, so a client that has received every ticket
-// knows its admissions are folded — which is what makes the FINISH
-// handshake sound: by the time a client sends FINISH, all tickets (its
-// own and, per the protocol contract, every other producer's) are in,
-// so the driver's drain+finish sees quiesced mailboxes. The driver
-// still retries a few drain rounds and reports a failed summary rather
-// than crashing if a peer violates the contract.
+// Drains on demand: a reactor that posted in an epoll round marks posts
+// waiting (`drain_state_`) and writes the driver's eventfd only on the
+// idle->busy edge, so one write covers every post until the next drain.
+// The driver drains at once on that edge. While posts keep coming it
+// drains again as soon as a short gap has passed since the previous
+// drain started (a one-shot timerfd; see kMinDrainGap in server.cpp),
+// each batch being whatever arrived in between (group commit); a gap
+// without posts returns it to idle. A periodic timerfd at
+// `drain_interval_us` remains as a fallback bound: it drains when no
+// demand drain ran for a whole interval.
+//
+// Tickets and the folded prefix: `post()` returns the arrival's
+// sequence number in its shard, and after each drain (and its stats
+// refresh) the driver publishes every shard's folded prefix
+// (`ServerCore::posts_folded`). A TICKET is buffered per connection and
+// flushed once its sequence number lies below its shard's published
+// prefix, so a ticket certifies that its admission is folded — and that
+// the STATS a client asks for next count it. That is what makes the
+// FINISH handshake sound: by the time a client sends FINISH, all
+// tickets (its own and, per the protocol contract, every other
+// producer's) are in, so the driver's drain+finish sees quiesced
+// mailboxes. The driver still retries a few drain rounds and reports a
+// failed summary rather than crashing if a peer violates the contract.
+// After a drain the driver writes the eventfd only of reactors that are
+// asleep; an awake one flushes at the top of its next round.
 //
 // Determinism: the core folds arrivals by per-object arrival order, so
 // the final snapshot is a pure function of each object's arrival
@@ -61,7 +76,10 @@ struct NetServerConfig {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;        ///< 0 = ephemeral (read back via port())
   unsigned reactors = 1;         ///< epoll loops; >= 1
-  std::uint64_t drain_interval_us = 500;  ///< timerfd drain cadence
+  /// Fallback bound on the gap between drains (a periodic timerfd that
+  /// drains when no demand drain ran for a whole interval); drains
+  /// otherwise run on demand.
+  std::uint64_t drain_interval_us = 500;
   std::size_t read_chunk = std::size_t{64} << 10;
   std::size_t write_high_watermark = std::size_t{4} << 20;
   int listen_backlog = 128;
@@ -134,6 +152,8 @@ class NetServer {
   void accept_ready();
   void run_drain();
   void run_finish();
+  void request_drain();
+  [[nodiscard]] bool claim_posts();
   void adopt_inbox(Reactor& r);
   void handle_conn_event(Reactor& r, int fd, std::uint32_t events);
   void process_input(Reactor& r, Connection& c);
@@ -156,7 +176,14 @@ class NetServer {
   std::size_t next_reactor_ = 0;  ///< driver-only round-robin cursor
 
   std::atomic<bool> running_{false};
-  std::atomic<std::uint64_t> completed_drains_{0};
+  /// Demand drains (see driver_loop): kIdle — no posts waiting and no
+  /// drain coming, so the next post wakes the driver; kArmed — a drain
+  /// is coming at the gap timer; kPosted — posts wait for it.
+  enum class DrainState : std::uint8_t { kIdle, kArmed, kPosted };
+  std::atomic<DrainState> drain_state_{DrainState::kIdle};
+  /// Per shard, the post() sequence numbers the completed drains have
+  /// folded (driver writes after each drain, reactors read).
+  std::vector<std::atomic<std::uint64_t>> folded_;
   std::atomic<bool> finish_requested_{false};
   std::atomic<bool> finished_{false};
 

@@ -271,8 +271,10 @@ class ServerCore {
   /// drain), and producers must quiesce before `finish()`,
   /// `checkpoint()` or any query. Do not mix `post` and `admit` on the
   /// same object without a `drain()` in between. Generic-policy,
-  /// non-session serving only.
-  void post(Index object, double time);
+  /// non-session serving only. Returns the arrival's sequence number in
+  /// its shard's post order (`shard_of(object)`): the arrival is folded
+  /// once `posts_folded` of that shard exceeds it.
+  std::uint64_t post(Index object, double time);
 
   /// Session-lifecycle ingest (`enable_sessions` only; plain
   /// ingest_trace/post/admit then throw — a session core must know every
@@ -286,9 +288,10 @@ class ServerCore {
   /// Processes all mailboxes: each active shard claims its ring's
   /// published range in one step, restores per-object ticket order, and
   /// delivers the batch; shards with nothing pending never reach the
-  /// pool. The serial epilogue then folds results in object-id order,
-  /// applying each object's ledger run in bulk. Bit-identical for any
-  /// shard count, thread count or drain cadence.
+  /// pool, and a drain with fewer than about a thousand arrivals
+  /// waiting runs its shards inline. The serial epilogue then folds results in
+  /// object-id order, applying each object's ledger run in bulk.
+  /// Bit-identical for any shard count, thread count or drain cadence.
   void drain();
 
   /// Ends the run at the configured horizon: drains pending arrivals,
@@ -305,12 +308,26 @@ class ServerCore {
   /// stats surface does exactly that); arrivals still in the rings are
   /// simply not visible yet. Other threads must not call it.
   [[nodiscard]] LiveStats live_stats();
-  /// Wait distribution: `exact` sorts all waits recorded so far
-  /// (O(n log n)); otherwise returns the O(1) P² running estimates.
+  /// Wait distribution: `exact` selects the nearest-rank percentiles
+  /// over all waits recorded so far (O(n) expected); otherwise returns
+  /// the O(1) P² running estimates.
   [[nodiscard]] util::DelayProfile wait_profile(bool exact);
+
+  /// The post() sequence numbers of `shard` that the drains so far have
+  /// folded: every arrival whose `post` returned a smaller number is in
+  /// the ledger and the live stats. A drain folds only the contiguous
+  /// prefix, so a post a drain missed (it landed after the ring sweep,
+  /// or behind another producer's unpublished slot) stays above it until
+  /// a later drain. Driver thread only, between drains; post()-fed cores
+  /// only (std::out_of_range otherwise).
+  [[nodiscard]] std::uint64_t posts_folded(unsigned shard) const;
 
   /// The configuration the core was built with.
   [[nodiscard]] const ServerCoreConfig& config() const noexcept { return config_; }
+
+  /// The shard that owns `object` (its mailbox and drain worker). Any
+  /// thread; `object` must be a valid id.
+  [[nodiscard]] unsigned shard_of(Index object) const noexcept;
 
   /// A thread-safe admission preview on a generic-policy core: the
   /// Ticket `admit(object, time)` would return, with the playback start

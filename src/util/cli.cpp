@@ -1,6 +1,7 @@
 #include "util/cli.h"
 
 #include <charconv>
+#include <iostream>
 #include <sstream>
 #include <stdexcept>
 
@@ -43,6 +44,7 @@ bool ArgParser::parse(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
+      std::cout << help();
       return false;
     }
     if (arg.rfind("--", 0) != 0) {

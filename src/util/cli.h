@@ -28,8 +28,9 @@ class ArgParser {
   void add_string(const std::string& name, const std::string& def, const std::string& help);
   void add_bool(const std::string& name, bool def, const std::string& help);
 
-  /// Parses the command line. Returns false (after printing help) when
-  /// `--help` was requested. Throws std::invalid_argument on bad input.
+  /// Parses the command line. Returns false after printing `help()` to
+  /// stdout when `--help` (or `-h`) was requested; the caller should
+  /// then exit successfully. Throws std::invalid_argument on bad input.
   bool parse(int argc, const char* const* argv);
 
   /// Typed accessors; throw std::out_of_range on unregistered names and

@@ -160,15 +160,47 @@ double P2Quantile::estimate() const noexcept {
   return heights_[2];
 }
 
+namespace {
+
+/// The 0-based index of the nearest-rank q-quantile of n > 0 values:
+/// rank ceil(q * n), with rank 0 (q == 0) read as the minimum.
+std::size_t nearest_rank_index(std::size_t n, double q) {
+  const auto rank = static_cast<std::size_t>(std::ceil(q * static_cast<double>(n)));
+  return rank == 0 ? 0 : rank - 1;
+}
+
+}  // namespace
+
 double quantile_sorted(const std::vector<double>& sorted, double q) {
   if (!(q >= 0.0) || q > 1.0) {
     throw std::invalid_argument("quantile_sorted: q must lie in [0, 1]");
   }
   if (sorted.empty()) return 0.0;
-  const auto n = sorted.size();
-  const auto rank = static_cast<std::size_t>(
-      std::ceil(q * static_cast<double>(n)));
-  return sorted[rank == 0 ? 0 : rank - 1];
+  return sorted[nearest_rank_index(sorted.size(), q)];
+}
+
+std::vector<double> quantiles_by_selection(std::span<double> values,
+                                           std::span<const double> qs) {
+  std::vector<double> out(qs.size(), 0.0);
+  double previous = 0.0;
+  std::size_t from = 0;
+  for (std::size_t i = 0; i < qs.size(); ++i) {
+    if (!(qs[i] >= previous) || qs[i] > 1.0) {
+      throw std::invalid_argument(
+          "quantiles_by_selection: qs must be ascending in [0, 1]");
+    }
+    previous = qs[i];
+    if (values.empty()) continue;
+    // Everything left of `from` is <= values[from] <= everything right
+    // of it, so the next order statistic lies in [from, end).
+    const std::size_t k = nearest_rank_index(values.size(), qs[i]);
+    const auto first = values.begin() + static_cast<std::ptrdiff_t>(from);
+    const auto nth = values.begin() + static_cast<std::ptrdiff_t>(k);
+    std::nth_element(first, nth, values.end());
+    out[i] = *nth;
+    from = k;
+  }
+  return out;
 }
 
 }  // namespace smerge::util

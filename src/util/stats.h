@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 namespace smerge::util {
@@ -47,6 +48,15 @@ class RunningStats {
 /// once and query several quantiles). Returns 0 for an empty vector;
 /// requires q in [0, 1].
 [[nodiscard]] double quantile_sorted(const std::vector<double>& sorted, double q);
+
+/// The same nearest-rank quantiles by selection instead of a sort:
+/// element i equals `quantile_sorted` of an ascending copy of `values` at
+/// `qs[i]`, bit for bit. `qs` must be ascending, each in [0, 1]; each
+/// quantile's std::nth_element runs only over the range from the
+/// previous quantile's rank on, so p50, p95 and p99 cost O(n) expected
+/// instead of O(n log n). Reorders `values`; all zeros when it is empty.
+[[nodiscard]] std::vector<double> quantiles_by_selection(
+    std::span<double> values, std::span<const double> qs);
 
 /// The complete state of a `P2Quantile` estimator — every marker, so a
 /// restored estimator continues bit-identically from where the saved

@@ -407,6 +407,40 @@ TEST(ServerCorePost, ValidatesArgumentsAndServeMode) {
   EXPECT_THROW(slotted_core.post(0, 0.5), std::invalid_argument);
 }
 
+// post() hands back the arrival's place in its shard's post order, and
+// a drain folds each shard's contiguous prefix: the certificate the
+// wire's TICKETs rest on.
+TEST(ServerCorePost, PostReturnsShardSequenceAndDrainPublishesFoldedPrefix) {
+  BatchingPolicy policy;
+  server::ServerCoreConfig config;
+  config.objects = 4;
+  config.delay = 0.1;
+  config.horizon = 2.0;
+  config.shards = 2;
+  server::ServerCore core(config, policy);
+  EXPECT_EQ(core.shard_of(0), 0u);
+  EXPECT_EQ(core.shard_of(3), 1u);
+  EXPECT_EQ(core.post(0, 0.1), 0u);
+  EXPECT_EQ(core.post(1, 0.1), 0u);
+  EXPECT_EQ(core.post(2, 0.2), 1u);
+  EXPECT_EQ(core.posts_folded(0), 0u);
+  EXPECT_EQ(core.posts_folded(1), 0u);
+  core.drain();
+  EXPECT_EQ(core.posts_folded(0), 2u);
+  EXPECT_EQ(core.posts_folded(1), 1u);
+  EXPECT_EQ(core.live_stats().arrivals, 3);
+  EXPECT_EQ(core.post(3, 0.3), 1u);
+  EXPECT_EQ(core.posts_folded(1), 1u);  // not folded until the next drain
+  core.drain();
+  EXPECT_EQ(core.posts_folded(1), 2u);
+  EXPECT_THROW((void)core.posts_folded(2), std::out_of_range);
+
+  server::ServerCoreConfig slotted = config;
+  slotted.serve = server::ServeMode::kSlottedBatching;
+  server::ServerCore slotted_core(slotted);
+  EXPECT_THROW((void)slotted_core.posts_folded(0), std::out_of_range);
+}
+
 TEST(ServerCorePost, OutOfOrderPostsAreDetectedAtDrain) {
   BatchingPolicy policy;
   server::ServerCoreConfig config;

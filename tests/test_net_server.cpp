@@ -31,6 +31,9 @@ namespace smerge::net {
 namespace {
 
 constexpr double kDelay = 0.01;
+/// A fallback drain timer that never fires during a test: every drain
+/// must then come from demand.
+constexpr std::uint64_t kOneHourUs = 3'600'000'000;
 
 /// A small deterministic catalogue: object m gets arrivals at
 /// m*1e-3 + k*7.3e-3 — dense enough that batches share slots, spread
@@ -144,26 +147,55 @@ server::WireSummary drive_wire(NetServer& server,
 }
 
 // The acceptance identity: wire-fed and trace-fed snapshots are
-// byte-identical (same digest, same fields) at shard widths 1, 2 and 4.
+// byte-identical (same digest, same fields) at shard widths 1, 2 and 4,
+// with a 200 µs fallback timer and with one that never fires (every
+// drain on demand).
 TEST(NetServer, WireMatchesTraceAtShardWidths) {
   const auto traces = make_traces(24, 40);
   server::Snapshot reference;
   const std::uint64_t expected = reference_digest(traces, &reference);
-  for (const unsigned shards : {1u, 2u, 4u}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    BatchingPolicy policy;
-    NetServerConfig net;
-    net.reactors = 2;
-    net.drain_interval_us = 200;
-    NetServer server(net, core_config(24, shards), policy);
-    server.start();
-    const server::WireSummary summary = drive_wire(server, traces, 2);
-    EXPECT_TRUE(summary.ok);
-    EXPECT_EQ(summary.digest, expected);
-    EXPECT_TRUE(snapshots_match(server.snapshot(), reference));
-    EXPECT_EQ(summary.total_arrivals, reference.total_arrivals);
-    server.stop();
+  for (const std::uint64_t fallback_us : {std::uint64_t{200}, kOneHourUs}) {
+    for (const unsigned shards : {1u, 2u, 4u}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " fallback_us=" + std::to_string(fallback_us));
+      BatchingPolicy policy;
+      NetServerConfig net;
+      net.reactors = 2;
+      net.drain_interval_us = fallback_us;
+      NetServer server(net, core_config(24, shards), policy);
+      server.start();
+      const server::WireSummary summary = drive_wire(server, traces, 2);
+      EXPECT_TRUE(summary.ok);
+      EXPECT_EQ(summary.digest, expected);
+      EXPECT_TRUE(snapshots_match(server.snapshot(), reference));
+      EXPECT_EQ(summary.total_arrivals, reference.total_arrivals);
+      server.stop();
+    }
   }
+}
+
+// Drains run on demand: with the fallback timer an hour away, a lone
+// ADMIT's TICKET still comes back at once.
+TEST(NetServer, TicketsDoNotWaitForTheTimer) {
+  BatchingPolicy policy;
+  NetServerConfig net;
+  net.drain_interval_us = kOneHourUs;
+  NetServer server(net, core_config(4, 2), policy);
+  server.start();
+  BlockingClient client;
+  client.connect("127.0.0.1", server.port());
+  (void)client.admit(1, 0.5);
+  client.flush();
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  std::size_t got = 0;
+  while (got == 0 && std::chrono::steady_clock::now() < deadline) {
+    got += client.poll_tickets(nullptr, false);
+    if (got == 0) std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  EXPECT_EQ(got, 1u) << "no TICKET within 1 s: the drain waited for the timer";
+  EXPECT_GE(server.counters().drains, 1u);
+  client.close();
+  server.stop();
 }
 
 // Connection churn (reconnect mid-stream) must not perturb results: an
@@ -228,14 +260,9 @@ TEST(NetServer, PingAndStatsRoundTrip) {
   // stream and would silently consume (and discard) ticket frames.
   std::size_t got = 0;
   while (got < 10) got += client.poll_tickets(nullptr, true);
-  // A ticket certifies a completed drain covering its admit, so the
-  // cached stats converge immediately; the retry absorbs the refresh
-  // race between the drain counter and the stats cache.
-  server::LiveStats live = client.stats();
-  for (int tries = 0; live.arrivals < 10 && tries < 500; ++tries) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    live = client.stats();
-  }
+  // A ticket certifies that a completed drain folded its admit and
+  // refreshed the cached stats, so the first STATS counts all ten.
+  const server::LiveStats live = client.stats();
   EXPECT_EQ(live.arrivals, 10);
   EXPECT_EQ(live.admitted, 10);
   EXPECT_EQ(client.ping(77), 77u);

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "util/cli.h"
@@ -67,6 +68,23 @@ TEST(ArgParser, HelpRequested) {
   const char* argv[] = {"prog", "--help"};
   EXPECT_FALSE(p.parse(2, argv));
   EXPECT_NE(p.help().find("--n"), std::string::npos);
+}
+
+// parse() prints the usage itself, once, to stdout: the binaries only
+// return on false, so one that printed nothing (or a caller that still
+// printed too) would show here.
+TEST(ArgParser, HelpPrintsUsageToStdout) {
+  for (const char* flag : {"--help", "-h"}) {
+    ArgParser p("summary line");
+    p.add_int("n", 1, "count");
+    const char* argv[] = {"prog", flag};
+    testing::internal::CaptureStdout();
+    const bool parsed = p.parse(2, argv);
+    const std::string printed = testing::internal::GetCapturedStdout();
+    EXPECT_FALSE(parsed) << flag;
+    EXPECT_EQ(printed, p.help()) << flag;
+    EXPECT_NE(printed.find("summary line"), std::string::npos) << flag;
+  }
 }
 
 TEST(ArgParser, RejectsUnknownAndMalformed) {
@@ -262,6 +280,38 @@ TEST(QuantileSorted, NearestRankConventions) {
   EXPECT_DOUBLE_EQ(quantile_sorted(values, 1.0), 5.0);
   EXPECT_DOUBLE_EQ(quantile_sorted({}, 0.5), 0.0);
   EXPECT_THROW((void)quantile_sorted(values, 1.5), std::invalid_argument);
+}
+
+// Selection must give quantile_sorted's nearest-rank answers bit for
+// bit, ties included (few distinct values per vector), at every size.
+TEST(QuantilesBySelection, MatchesSortedNearestRank) {
+  constexpr double kQs[] = {0.0, 0.5, 0.95, 0.99, 1.0};
+  SplitMix64 rng(20261020);
+  for (std::size_t n = 1; n <= 200; ++n) {
+    const std::uint64_t distinct = n / 3 + 1;
+    std::vector<double> values(n);
+    for (double& v : values) v = 0.125 * static_cast<double>(rng.next() % distinct);
+    std::vector<double> sorted = values;
+    std::sort(sorted.begin(), sorted.end());
+    const std::vector<double> got = quantiles_by_selection(values, kQs);
+    ASSERT_EQ(got.size(), std::size(kQs));
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i], quantile_sorted(sorted, kQs[i])) << "n=" << n << " q=" << kQs[i];
+    }
+    std::sort(values.begin(), values.end());
+    EXPECT_EQ(values, sorted) << "selection must only reorder, n=" << n;
+  }
+}
+
+TEST(QuantilesBySelection, EmptyInputAndBadQuantiles) {
+  constexpr double kQs[] = {0.5, 0.99};
+  std::vector<double> none;
+  EXPECT_EQ(quantiles_by_selection(none, kQs), std::vector<double>({0.0, 0.0}));
+  std::vector<double> values{3.0, 1.0, 2.0};
+  constexpr double kDescending[] = {0.9, 0.5};
+  constexpr double kTooLarge[] = {0.5, 1.5};
+  EXPECT_THROW((void)quantiles_by_selection(values, kDescending), std::invalid_argument);
+  EXPECT_THROW((void)quantiles_by_selection(values, kTooLarge), std::invalid_argument);
 }
 
 }  // namespace
